@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage problems, 2 validation failures (bad files
 or graphs), 3 infeasible transport instances, 4 non-convergence (partial
-outputs are still written where possible).
+outputs are still written where possible) or a diverged ascent (nothing
+is written).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
 from .feasibility import (
     feasibility_report,
     feasibility_switching,
-    kernel_numeric,
     project_feasible,
 )
 from .graph import is_consistent, switch
@@ -105,7 +105,7 @@ def _cmd_check(args):
     print("valid")
     consistent = is_consistent(g, tol=args.tol)
     print("consistent" if consistent else "inconsistent")
-    basis = kernel_numeric(g)
+    basis = g.kernel
     print(f"kernel dimension: {basis.dimension}")
     if args.kernel_out:
         obj = {
@@ -231,7 +231,7 @@ def _cmd_distmat(args):
         _require_field_shape(field, g, path)
         fields.append(field)
     if args.project_kernel:
-        fields = [project_feasible(g, f) for f in fields]
+        fields = project_feasible(g, np.stack(fields))
     dist, conv = distance_matrix(
         g,
         fields,

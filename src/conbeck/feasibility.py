@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConsistencyError, FeasibilityError
 from .graph import ConnectionGraph, apply_BT, bfs_tree, tree_products
@@ -53,11 +54,14 @@ class KernelBasis:
 def kernel_numeric(g: ConnectionGraph, tol=1e-8):
     """Kernel of the connection Laplacian from its spectrum.
 
-    The kernel dimension is the number of eigenvalues of L at or below
-    ``tol * max(lambda_max, 1)``; ties resolve toward inclusion.  Basis
-    vectors are taken from the null space of B^T (equal to ker L), which
-    keeps the residual ``|B^T f|`` at machine level rather than at the
-    square-root-of-machine level that raw Laplacian eigenvectors carry.
+    The kernel dimension k is the number of eigenvalues of L at or below
+    ``tol * max(lambda_max, 1)``; ties resolve toward inclusion.  The basis
+    is the k lowest eigenvectors of the same dense L.  Their residual
+    ``|B^T f|`` stays at machine level: the eigensolver's error in a
+    kernel vector lies along eigenvectors of nonzero eigenvalue, where
+    B^T does not amplify it.  Costs O((n d)^3) time and O((n d)^2) memory,
+    independent of the edge count.  :attr:`ConnectionGraph.kernel` caches
+    the result for the default ``tol``.
     """
     g.require_valid()
     lap = g.laplacian_matrix.toarray()
@@ -66,10 +70,8 @@ def kernel_numeric(g: ConnectionGraph, tol=1e-8):
     k = int(np.count_nonzero(eigs <= threshold))
     if k == 0:
         return KernelBasis(np.zeros((0, g.n, g.d)), threshold)
-    bt = g.incidence_matrix_T.toarray()
-    _, _, vt = np.linalg.svd(bt, full_matrices=True)
-    basis = vt[g.n * g.d - k :][::-1]
-    return KernelBasis(basis.reshape(k, g.n, g.d), threshold)
+    _, vecs = scipy.linalg.eigh(lap, subset_by_index=(0, k - 1))
+    return KernelBasis(vecs.T.reshape(k, g.n, g.d), threshold)
 
 
 def kernel_structured(g: ConnectionGraph, root=0, tol=1e-8):
@@ -109,7 +111,7 @@ def kernel_structured(g: ConnectionGraph, root=0, tol=1e-8):
             raise ConsistencyError(
                 f"structured kernel vector {idx} has |B^T f| = {resid:.3g} > {tol:.3g}"
             )
-    numeric = kernel_numeric(g)
+    numeric = g.kernel
     if numeric.dimension != k:
         raise ConsistencyError(
             f"structured kernel dimension {k} disagrees with numeric "
@@ -136,7 +138,7 @@ def feasibility_report(g: ConnectionGraph, alpha, beta, tol=1e-8):
     """
     diff = np.asarray(alpha, dtype=float) - np.asarray(beta, dtype=float)
     diff = diff.reshape(g.n, g.d)
-    basis = kernel_numeric(g)
+    basis = g.kernel
     scale = max(1.0, float(np.linalg.norm(diff)))
     ips = basis.inner_products(diff)
     violations = [
@@ -165,26 +167,28 @@ def require_feasible(g: ConnectionGraph, alpha, beta, tol=1e-8):
 
 
 def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None, eigval_ratio=1e-3):
-    """Remove near-kernel components from a field.
+    """Remove near-kernel components from a field, or from a stack of them.
 
     Modes are the eigenvectors of L with eigenvalue at most
     ``eigval_ratio * lambda_max`` (or exactly ``num_modes`` lowest modes
     when given).  With an ``anchor``, the anchor's components along those
     modes are kept, so the result is feasible against the likewise
-    projected anchor; the default anchor is the zero field.
+    projected anchor; the default anchor is the zero field.  ``field`` is
+    one (n, d) field or a (k, n, d) stack; a stack is projected against a
+    single eigendecomposition and returned with the same shape.
     """
     g.require_valid()
-    field = np.asarray(field, dtype=float).reshape(g.n, g.d)
-    ref = np.zeros_like(field) if anchor is None else np.asarray(anchor, dtype=float).reshape(g.n, g.d)
+    field = np.asarray(field, dtype=float)
+    stacked = field.ndim == 3
+    rows = field.reshape(-1, g.n * g.d)
+    ref = 0.0 if anchor is None else np.asarray(anchor, dtype=float).reshape(-1)
     lap = g.laplacian_matrix.toarray()
     eigs, vecs = np.linalg.eigh(lap)
     if num_modes is None:
         num_modes = int(np.count_nonzero(eigs <= eigval_ratio * max(eigs[-1], 1.0)))
-    if num_modes == 0:
-        return field.copy()
     modes = vecs[:, :num_modes]
-    coeff = modes.T @ (field - ref).reshape(-1)
-    return field - (modes @ coeff).reshape(g.n, g.d)
+    out = rows - ((rows - ref) @ modes) @ modes.T
+    return out.reshape(-1, g.n, g.d) if stacked else out.reshape(g.n, g.d)
 
 
 def feasibility_switching(g: ConnectionGraph, root=0):

@@ -61,6 +61,10 @@ def random_orthogonal(d, rng):
     return q * np.sign(np.diag(r))
 
 
+#: Attributes a pickled ConnectionGraph carries (see ``__getstate__``).
+_PICKLED_STATE = frozenset(("n", "d", "edge_index", "weights", "sigmas", "violations", "kernel"))
+
+
 class ConnectionGraph:
     """Immutable container for a connection graph.
 
@@ -314,6 +318,32 @@ class ConnectionGraph:
             shape=(n * d, n * d),
         )
         return mat.tocsr()
+
+    @cached_property
+    def kernel(self):
+        """Kernel basis of ``L`` at the default tolerance, computed once.
+
+        See :func:`conbeck.feasibility.kernel_numeric`; feasibility tests,
+        solves and distance matrices on this graph all share this basis.
+        """
+        from . import feasibility  # local import to avoid a cycle
+
+        return feasibility.kernel_numeric(self)
+
+    # -- pickling -----------------------------------------------------------
+
+    def __getstate__(self):
+        """Defining arrays plus the cached validation verdict and kernel.
+
+        The sparse operators and adjacency lists are left out: they are
+        cheap to rebuild and would make up most of the pickle.
+        """
+        return {k: v for k, v in self.__dict__.items() if k in _PICKLED_STATE}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for arr in (self.edge_index, self.weights, self.sigmas):
+            arr.setflags(write=False)
 
 
 def validate_graph(g: ConnectionGraph):

@@ -27,12 +27,13 @@ gives the exact linear-programming value for d = 1.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.optimize
 
-from .errors import FeasibilityError, InvalidGraphError
+from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .feasibility import require_feasible
 from .graph import ConnectionGraph
 
@@ -59,15 +60,13 @@ class SolveOptions:
     """Knobs for the dual-ascent solver.
 
     ``lam=None`` resolves to the largest edge weight.  ``grad_tol=None``
-    resolves to ``1e-8 * (1 + |c|_2)``.  ``seed`` is carried for
-    reproducibility metadata; the ascent itself is deterministic.
+    resolves to ``1e-8 * (1 + |c|_2)``.
     """
 
     lam: float | None = None
     learning_rate: float = 5e-3
     max_epochs: int = 10000
     grad_tol: float | None = None
-    seed: int = 0
 
 
 @dataclass
@@ -168,7 +167,9 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
     Returns ``(flow, phi, report)``.  Infeasible pairs raise
     :class:`FeasibilityError` up front, naming the violated kernel
     components.  Non-convergence within ``max_epochs`` is reported via
-    ``report.converged`` rather than an exception.
+    ``report.converged`` rather than an exception; a residual that turns
+    non-finite (the step is too large and the ascent diverged) raises
+    :class:`NonConvergenceError` at once.
     """
     if opts is None:
         opts = SolveOptions()
@@ -191,22 +192,31 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
 
     epochs_used = 0
     converged = False
-    while True:
-        gvals = (bmat_t @ phi).reshape(m, d)
-        norms = _edge_norms(gvals)
-        active = norms > w
-        safe = np.where(active, norms, 1.0)
-        coef = np.where(active, (norms - w) / (lam * safe), 0.0)
-        flow = coef[:, None] * gvals
-        grad = c_vec - bmat @ flow.reshape(-1)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= grad_tol:
-            converged = True
-            break
-        if epochs_used >= opts.max_epochs:
-            break
-        phi += lr * grad
-        epochs_used += 1
+    # a diverging ascent overflows on its way to the non-finite residual
+    # that the loop reports, so overflow warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            gvals = (bmat_t @ phi).reshape(m, d)
+            norms = _edge_norms(gvals)
+            active = norms > w
+            safe = np.where(active, norms, 1.0)
+            coef = np.where(active, (norms - w) / (lam * safe), 0.0)
+            flow = coef[:, None] * gvals
+            grad = c_vec - bmat @ flow.reshape(-1)
+            grad_norm = float(np.linalg.norm(grad))
+            if not math.isfinite(grad_norm):
+                raise NonConvergenceError(
+                    f"dual ascent diverged at epoch {epochs_used}: the residual is "
+                    f"{grad_norm} with step {lr!r}; the stable step for lambda = "
+                    f"{lam!r} is {stable_learning_rate(g, lam)!r}"
+                )
+            if grad_norm <= grad_tol:
+                converged = True
+                break
+            if epochs_used >= opts.max_epochs:
+                break
+            phi += lr * grad
+            epochs_used += 1
 
     phi_field = phi.reshape(g.n, g.d)
     cost = primal_cost(g, flow, lam)

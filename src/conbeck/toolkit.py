@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGraphError, NonConvergenceError
-from .feasibility import kernel_numeric
 from .graph import ConnectionGraph, apply_B
 from .solver import SolveOptions, solve_regularized
 
@@ -127,10 +126,22 @@ def active_edges(flow, delta=0.0):
     return np.flatnonzero(np.linalg.norm(flow, axis=1) > delta)
 
 
-def _solve_pair(args):
-    g, alpha, beta, opts = args
-    _, _, report = solve_regularized(g, alpha, beta, opts)
+def _solve_pair(g, fields, opts, a, b):
+    _, _, report = solve_regularized(g, fields[a], fields[b], opts)
     return report.primal_cost, report.converged
+
+
+#: Per-worker ``(graph, fields, opts)``, set once by :func:`_init_worker`.
+_WORKER_STATE = None
+
+
+def _init_worker(g, fields, opts):
+    global _WORKER_STATE
+    _WORKER_STATE = (g, fields, opts)
+
+
+def _solve_pair_in_worker(pair):
+    return _solve_pair(*_WORKER_STATE, *pair)
 
 
 def distance_matrix(
@@ -145,9 +156,11 @@ def distance_matrix(
     """Symmetric matrix of pairwise regularized transport costs.
 
     Infeasible pairs get ``inf`` without running the solver; the diagonal
-    is exactly zero.  With ``jobs > 1`` the pairwise solves run in a
-    process pool (they are independent); results are deterministic either
-    way.  A pair that exhausts the epoch budget raises
+    is exactly zero.  The kernel is computed once, as ``g.kernel``.  With
+    ``jobs > 1`` the pairwise solves run in a process pool (they are
+    independent): each worker receives the graph, its kernel and the
+    fields once, and a task is just a pair of indices.  Results are
+    deterministic either way.  A pair that exhausts the epoch budget raises
     :class:`NonConvergenceError` unless ``require_convergence=False``.
     With ``return_converged=True`` a boolean matrix of per-pair convergence
     flags is returned alongside (infeasible pairs and the diagonal count
@@ -157,7 +170,7 @@ def distance_matrix(
         opts = SolveOptions()
     fields = [np.asarray(f, dtype=float).reshape(g.n, g.d) for f in fields]
     k = len(fields)
-    basis = kernel_numeric(g)
+    basis = g.kernel
     dist = np.zeros((k, k))
     conv = np.ones((k, k), dtype=bool)
     tasks = []
@@ -181,16 +194,15 @@ def distance_matrix(
         conv[a, b] = conv[b, a] = converged
 
     if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _solve_pair, [(g, fields[a], fields[b], opts) for a, b in tasks]
-            )
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(g, fields, opts)
+        ) as pool:
+            results = pool.map(_solve_pair_in_worker, tasks)
             for (a, b), (cost, converged) in zip(tasks, results):
                 finish(a, b, cost, converged)
     else:
         for a, b in tasks:
-            cost, converged = _solve_pair((g, fields[a], fields[b], opts))
-            finish(a, b, cost, converged)
+            finish(a, b, *_solve_pair(g, fields, opts, a, b))
     if return_converged:
         return dist, conv
     return dist

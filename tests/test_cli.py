@@ -12,7 +12,7 @@ from conbeck import io
 from conbeck.cli import main
 from conbeck.graph import ConnectionGraph
 from conbeck.manifold import epsilon_graph, sample_sphere_patch, tangent_frames
-from conbeck.solver import SolveOptions, solve_regularized
+from conbeck.solver import SolveOptions, solve_regularized, stable_learning_rate
 from conbeck.toolkit import pseudo_dirac
 
 from conftest import make_path_graph
@@ -223,6 +223,21 @@ def test_solve_nonconvergence_writes_partial_output(diamond_files, capsys):
     assert code == 4
     assert flow_path.exists()
     assert "converged: no" in capsys.readouterr().out
+
+
+def test_solve_divergence_exits_4_without_output(diamond_files, capsys):
+    tmp, paths = diamond_files
+    g = io.load_graph(paths["graph"])
+    lr = 50 * stable_learning_rate(g, 1.0)
+    flow_path, report_path = tmp / "flow.json", tmp / "report.json"
+    args = [str(paths["graph"]), str(paths["alpha"]), str(paths["beta"]), "--lambda", "1.0"]
+    code = main(
+        ["solve", *args, "--lr", repr(lr), "--epochs", "20000",
+         "-o", str(flow_path), "--report", str(report_path)]
+    )
+    assert code == 4
+    assert "diverged" in capsys.readouterr().err
+    assert not flow_path.exists() and not report_path.exists()
 
 
 def test_solve_outputs_are_byte_deterministic(diamond_files, capsys):

@@ -9,9 +9,12 @@ alpha = delta_0, beta(2) = -1 gives (1 + (-1))/sqrt(3) = 0 (feasible).
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from conbeck import feasibility
 from conbeck.errors import FeasibilityError, InvalidGraphError
 from conbeck.feasibility import (
     feasibility_switching,
@@ -21,7 +24,8 @@ from conbeck.feasibility import (
     project_feasible,
     require_feasible,
 )
-from conbeck.graph import ConnectionGraph, apply_BT, is_consistent, switch
+from conbeck.graph import ConnectionGraph, apply_BT, is_consistent, random_orthogonal, switch
+from conbeck.manifold import epsilon_graph, sample_sphere_patch
 
 from conftest import make_path_graph, random_connected_graph, random_density
 
@@ -115,6 +119,48 @@ def test_kernel_structured_matches_numeric_randomized():
             assert angles.min() >= 1 - 1e-7
 
 
+def test_kernel_flat_sphere_patch_is_parallel_sections():
+    # sigma_ij = tau_i^T tau_j with Haar tau: ker L = {f(i) = tau_i^T x}
+    cloud, _, _ = sample_sphere_patch(5, 8)
+    skeleton = epsilon_graph(cloud, 0.6)
+    rng = np.random.default_rng(31)
+    tau = np.array([random_orthogonal(2, rng) for _ in range(cloud.shape[0])])
+    i, j = skeleton.edge_index.T
+    sigmas = np.einsum("eba,ebc->eac", tau[i], tau[j])
+    g = ConnectionGraph(cloud.shape[0], 2, skeleton.edge_index, skeleton.weights, sigmas)
+    basis = kernel_numeric(g)
+    assert basis.dimension == 2
+    flat = basis.vectors.reshape(2, -1)
+    assert np.abs(flat @ flat.T - np.eye(2)).max() <= 1e-12
+    for f in basis.vectors:
+        assert np.linalg.norm(apply_BT(g, f)) <= 1e-10
+    sections = np.einsum("nba,kb->kna", tau, np.eye(2)).reshape(2, -1)
+    q, _ = np.linalg.qr(sections.T)
+    cosines = np.linalg.svd(flat @ q, compute_uv=False)
+    assert cosines.min() >= 1 - 1e-8
+
+
+def test_kernel_is_cached_on_the_graph(sign_path, monkeypatch):
+    calls = []
+    real = feasibility.kernel_numeric
+    monkeypatch.setattr(feasibility, "kernel_numeric", lambda g: calls.append(g) or real(g))
+    first = sign_path.kernel
+    assert sign_path.kernel is first
+    assert is_feasible(sign_path, np.zeros((3, 1)), np.zeros((3, 1)))
+    kernel_structured(sign_path)
+    assert len(calls) == 1
+
+
+def test_pickled_graph_keeps_kernel_not_operators(sign_path):
+    sign_path.laplacian_matrix
+    basis = sign_path.kernel
+    copy = pickle.loads(pickle.dumps(sign_path))
+    assert "laplacian_matrix" not in vars(copy)
+    assert np.array_equal(copy.kernel.vectors, basis.vectors)
+    assert not copy.sigmas.flags.writeable
+    assert np.array_equal(copy.laplacian_matrix.toarray(), sign_path.laplacian_matrix.toarray())
+
+
 def test_kernel_dimension_at_most_d():
     rng = np.random.default_rng(24)
     for _ in range(6):
@@ -199,6 +245,20 @@ def test_project_feasible_anchor_components_kept(sign_path):
     anchor = rng.standard_normal((3, 1))
     out = project_feasible(sign_path, f, anchor=anchor)
     assert is_feasible(sign_path, out, anchor)
+
+
+def test_project_feasible_stack_matches_single_fields():
+    rng = np.random.default_rng(30)
+    g = random_connected_graph(rng, n=9, d=2, extra_edges=4, consistent=True)
+    stack = rng.standard_normal((4, 9, 2))
+    anchor = rng.standard_normal((9, 2))
+    for kwargs in ({}, {"anchor": anchor}, {"num_modes": 3}):
+        out = project_feasible(g, stack, **kwargs)
+        assert out.shape == stack.shape
+        for field, projected in zip(stack, out):
+            single = project_feasible(g, field, **kwargs)
+            assert single.shape == (9, 2)
+            assert np.abs(projected - single).max() <= 1e-12
 
 
 def test_project_feasible_num_modes_override(diamond):

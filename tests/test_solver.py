@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conbeck.errors import FeasibilityError, InvalidGraphError
+from conbeck.errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from conbeck.feasibility import kernel_numeric
 from conbeck.graph import ConnectionGraph, apply_B, apply_BT, incidence, switch, random_orthogonal
 from conbeck.solver import (
@@ -282,6 +282,19 @@ def test_solve_nonconvergence_flagged(diamond_problem):
     assert not report.converged
     assert report.epochs_used == 3
     assert report.residual > 0
+
+
+def test_solve_divergence_raises_with_stable_step(diamond_problem):
+    g, alpha, beta, _ = diamond_problem
+    stable = stable_learning_rate(g, 1.0)
+    opts = SolveOptions(lam=1.0, learning_rate=50 * stable, max_epochs=20000)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_regularized(g, alpha, beta, opts)
+    message = str(info.value)
+    assert "diverged at epoch" in message
+    assert repr(50 * stable) in message and repr(stable) in message
+    epoch = int(message.split("epoch ")[1].split(":")[0])
+    assert 0 < epoch < 1000
 
 
 def test_solve_rejects_nonpositive_lambda(diamond_problem):

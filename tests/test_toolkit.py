@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conbeck import feasibility
 from conbeck.errors import InvalidGraphError, NonConvergenceError
 from conbeck.graph import ConnectionGraph, apply_B
 from conbeck.solver import SolveOptions, solve_regularized, stable_learning_rate
@@ -192,6 +193,21 @@ def test_distance_matrix_parallel_matches_serial(sign_path):
     serial = distance_matrix(sign_path, fields, opts, jobs=1)
     parallel = distance_matrix(sign_path, fields, opts, jobs=2)
     assert np.array_equal(serial, parallel)
+
+
+def test_distance_matrix_computes_kernel_once(sign_path, monkeypatch):
+    calls = []
+    real = feasibility.kernel_numeric
+    monkeypatch.setattr(feasibility, "kernel_numeric", lambda g: calls.append(g) or real(g))
+    fields = [
+        np.array([[1.0], [0.0], [0.0]]),
+        np.array([[0.0], [1.0], [0.0]]),
+        np.array([[0.3], [0.3], [-0.4]]),
+    ]
+    opts = SolveOptions(lam=1.0, max_epochs=50000)
+    dist = distance_matrix(sign_path, fields, opts, jobs=1)
+    assert np.isfinite(dist).all()
+    assert len(calls) == 1
 
 
 def test_distance_matrix_nonconvergence_raises(diamond_problem):
