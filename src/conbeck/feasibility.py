@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConsistencyError, FeasibilityError
-from .graph import ConnectionGraph, apply_BT, bfs_tree, tree_products
+from .graph import ConnectionGraph, _chord_products, tree_products
 
 __all__ = [
     "KernelBasis",
@@ -85,16 +85,9 @@ def kernel_structured(g: ConnectionGraph, root=0, tol=1e-8):
     """
     g.require_valid()
     d = g.d
-    t = tree_products(g, root)
-    _, parent = bfs_tree(g, root)
-    blocks = []
-    for e, (i, j) in enumerate(g.edge_index):
-        if parent[i] == j or parent[j] == i:
-            continue
-        prod = t[i].T @ g.sigmas[e] @ t[j]
-        blocks.append(prod - np.eye(d))
-    if blocks:
-        stacked = np.concatenate(blocks, axis=0)
+    t, prods = _chord_products(g, root)
+    if prods.size:
+        stacked = (prods - np.eye(d)).reshape(-1, d)
         _, svals, vt = np.linalg.svd(stacked, full_matrices=True)
         svals = np.concatenate([svals, np.zeros(d - svals.size)])
         k = int(np.count_nonzero(svals <= tol))
@@ -105,12 +98,12 @@ def kernel_structured(g: ConnectionGraph, root=0, tol=1e-8):
     fields = np.einsum("nab,kb->kna", t, roots) / np.sqrt(g.n)
     basis = KernelBasis(fields, tol)
 
-    for idx in range(k):
-        resid = float(np.linalg.norm(apply_BT(g, fields[idx])))
-        if resid > tol:
-            raise ConsistencyError(
-                f"structured kernel vector {idx} has |B^T f| = {resid:.3g} > {tol:.3g}"
-            )
+    resid = np.linalg.norm(g.incidence_matrix_T @ fields.reshape(k, g.n * d).T, axis=0)
+    bad = np.flatnonzero(resid > tol)
+    if bad.size:
+        raise ConsistencyError(
+            f"structured kernel vector {bad[0]} has |B^T f| = {resid[bad[0]]:.3g} > {tol:.3g}"
+        )
     numeric = g.kernel
     if numeric.dimension != k:
         raise ConsistencyError(

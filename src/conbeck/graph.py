@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import InvalidGraphError
 
@@ -50,9 +51,61 @@ EXACT_ORTHOGONALITY_TOL = 1e-13
 
 
 def polar_project(mat):
-    """Nearest orthogonal matrix to ``mat`` (polar decomposition factor)."""
-    u, _, vt = np.linalg.svd(np.asarray(mat, dtype=float))
+    """Nearest orthogonal matrix to ``mat`` (polar decomposition factor).
+
+    Also takes a (k, p, d) stack, projecting each matrix to the nearest
+    one with orthonormal columns.
+    """
+    u, _, vt = np.linalg.svd(np.asarray(mat, dtype=float), full_matrices=False)
     return u @ vt
+
+
+def _snap(mats, lo=EXACT_ORTHOGONALITY_TOL, hi=ORTHOGONALITY_TOL):
+    """Orthogonality defects of a (k, p, d) stack, and the stack snapped.
+
+    Returns ``(defect, snapped)``: ``defect[k] = max|A_k^T A_k - I|`` and a
+    copy of the stack with the polar factor in place of each matrix whose
+    defect lies in ``(lo, hi]``.
+    """
+    mats = np.asarray(mats, dtype=float)
+    gram = np.swapaxes(mats, -1, -2) @ mats
+    defect = np.abs(gram - np.eye(mats.shape[-1])).max(axis=(-2, -1))
+    snapped = np.array(mats)
+    pick = (defect > lo) & (defect <= hi)
+    snapped[pick] = polar_project(mats[pick])
+    return defect, snapped
+
+
+def _block_entries(block_rows, block_cols, blocks, d):
+    """COO triplets placing ``blocks[k]`` (d x d) at block ``(block_rows[k], block_cols[k])``."""
+    rr = np.repeat(np.arange(d), d)
+    cc = np.tile(np.arange(d), d)
+    rows = (block_rows[:, None] * d + rr).ravel()
+    cols = (block_cols[:, None] * d + cc).ravel()
+    return rows, cols, blocks.reshape(-1)
+
+
+def _diagonal_entries(block_rows, block_cols, values, d):
+    """COO triplets placing ``values[k] * I_d`` at block ``(block_rows[k], block_cols[k])``."""
+    ar = np.arange(d)
+    rows = (block_rows[:, None] * d + ar).ravel()
+    cols = (block_cols[:, None] * d + ar).ravel()
+    return rows, cols, np.repeat(values, d)
+
+
+def _csr(parts, shape):
+    rows, cols, data = (np.concatenate(arrays) for arrays in zip(*parts))
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+
+
+def _adjacency(n, edge_index):
+    """Symmetric CSR adjacency of an edge list; each row lists its
+    vertex's neighbours in increasing order."""
+    i, j = np.asarray(edge_index, dtype=int).reshape(-1, 2).T
+    ones = np.ones(i.size)
+    adj = _csr([(i, j, ones), (j, i, ones)], (n, n))
+    adj.sort_indices()
+    return adj
 
 
 def random_orthogonal(d, rng):
@@ -115,18 +168,6 @@ class ConnectionGraph:
         return {(int(i), int(j)): e for e, (i, j) in enumerate(self.edge_index)}
 
     @cached_property
-    def neighbors(self):
-        """Per-vertex list of ``(neighbor, edge_index)`` sorted by neighbor."""
-        adj = [[] for _ in range(self.n)]
-        for e, (i, j) in enumerate(self.edge_index):
-            if 0 <= i < self.n and 0 <= j < self.n:
-                adj[i].append((int(j), e))
-                adj[j].append((int(i), e))
-        for lst in adj:
-            lst.sort()
-        return adj
-
-    @cached_property
     def weighted_degrees(self):
         deg = np.zeros(self.n)
         np.add.at(deg, self.edge_index[:, 0], self.weights)
@@ -159,33 +200,38 @@ class ConnectionGraph:
     @cached_property
     def violations(self):
         """List of human-readable invariant violations (empty when valid)."""
+        n, m = self.n, self.m
+        i, j = self.edge_index.T
+        in_range = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+        loop = in_range & (i == j)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        # unordered pair code; edges that form no pair get distinct negative codes
+        key = np.where(in_range & ~loop, lo * n + hi, -1 - np.arange(m))
+        duplicate = np.ones(m, dtype=bool)
+        duplicate[np.unique(key, return_index=True)[1]] = False
         out = []
-        seen = set()
-        for e, (i, j) in enumerate(self.edge_index):
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                out.append(f"edge {e}: endpoint out of range ({i}, {j})")
-                continue
-            if i == j:
-                out.append(f"edge {e}: self-loop at vertex {i}")
-                continue
-            if i > j:
-                out.append(f"edge {e}: endpoints not in index orientation ({i} > {j})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                out.append(f"edge {e}: duplicate of edge {key}")
-            seen.add(key)
-        for e, w in enumerate(self.weights):
-            if not (w > 0) or not np.isfinite(w):
-                out.append(f"edge {e}: weight {w} is not positive and finite")
-        eye = np.eye(self.d)
-        for e, sig in enumerate(self.sigmas):
-            err = np.abs(sig.T @ sig - eye).max()
-            if not err <= ORTHOGONALITY_TOL:
-                out.append(f"edge {e}: sigma is not orthogonal (|sigma^T sigma - I|_max = {err:.3g})")
-        if self.n > 1 and not out:
-            reached = _bfs_reach(self)
-            if not reached.all():
-                missing = np.flatnonzero(~reached)
+        for e in np.flatnonzero(~in_range | loop | (i > j) | duplicate):
+            if not in_range[e]:
+                out.append(f"edge {e}: endpoint out of range ({i[e]}, {j[e]})")
+            elif loop[e]:
+                out.append(f"edge {e}: self-loop at vertex {i[e]}")
+            else:
+                if i[e] > j[e]:
+                    out.append(f"edge {e}: endpoints not in index orientation ({i[e]} > {j[e]})")
+                if duplicate[e]:
+                    out.append(f"edge {e}: duplicate of edge ({lo[e]}, {hi[e]})")
+        w = self.weights
+        for e in np.flatnonzero(~(w > 0) | ~np.isfinite(w)):
+            out.append(f"edge {e}: weight {w[e]} is not positive and finite")
+        defect, _ = _snap(self.sigmas)
+        for e in np.flatnonzero(~(defect <= ORTHOGONALITY_TOL)):
+            out.append(
+                f"edge {e}: sigma is not orthogonal (|sigma^T sigma - I|_max = {defect[e]:.3g})"
+            )
+        if n > 1 and not out:
+            _, labels = csgraph.connected_components(_adjacency(n, self.edge_index))
+            missing = np.flatnonzero(labels != labels[0])
+            if missing.size:
                 out.append(
                     f"graph is disconnected ({missing.size} vertices unreachable "
                     f"from 0, e.g. vertex {missing[0]})"
@@ -232,12 +278,7 @@ class ConnectionGraph:
         already orthogonal to machine precision are kept bit-for-bit so that
         save/load round trips are exact.
         """
-        sig = np.array(self.sigmas)
-        eye = np.eye(self.d)
-        for e in range(self.m):
-            defect = np.abs(sig[e].T @ sig[e] - eye).max()
-            if EXACT_ORTHOGONALITY_TOL < defect <= ORTHOGONALITY_TOL:
-                sig[e] = polar_project(sig[e])
+        _, sig = _snap(self.sigmas)
         return ConnectionGraph(self.n, self.d, self.edge_index, self.weights, sig)
 
     # -- serialization ------------------------------------------------------
@@ -270,23 +311,11 @@ class ConnectionGraph:
         """Connection incidence matrix ``B`` as CSR, shape (nd, md)."""
         self.require_valid()
         n, d, m = self.n, self.d, self.m
-        ar = np.arange(d)
-        rows_i = (self.edge_index[:, 0, None] * d + ar).ravel()
-        cols_i = (np.arange(m)[:, None] * d + ar).ravel()
-        data_i = np.ones(m * d)
-        rr = np.repeat(ar, d)
-        cc = np.tile(ar, d)
-        rows_s = (self.edge_index[:, 1, None] * d + rr).ravel()
-        cols_s = (np.arange(m)[:, None] * d + cc).ravel()
-        data_s = -np.transpose(self.sigmas, (0, 2, 1)).reshape(m * d * d)
-        mat = sp.coo_matrix(
-            (
-                np.concatenate([data_i, data_s]),
-                (np.concatenate([rows_i, rows_s]), np.concatenate([cols_i, cols_s])),
-            ),
-            shape=(n * d, m * d),
-        )
-        return mat.tocsr()
+        i, j = self.edge_index.T
+        edges = np.arange(m)
+        tails = _diagonal_entries(i, edges, np.ones(m), d)
+        heads = _block_entries(j, edges, -np.transpose(self.sigmas, (0, 2, 1)), d)
+        return _csr([tails, heads], (n * d, m * d))
 
     @cached_property
     def incidence_matrix_T(self):
@@ -294,30 +323,22 @@ class ConnectionGraph:
 
     @cached_property
     def laplacian_matrix(self):
-        """Connection Laplacian ``L`` as CSR, shape (nd, nd), assembled blockwise."""
+        """Connection Laplacian ``L`` as CSR, shape (nd, nd), assembled blockwise.
+
+        Off-diagonal blocks are ``-w_ij sigma_ij`` and its transpose; the
+        diagonal blocks are exactly ``deg_i I_d``.
+        """
         self.require_valid()
-        n, d, m = self.n, self.d, self.m
-        rr = np.repeat(np.arange(d), d)
-        cc = np.tile(np.arange(d), d)
-        rows, cols, data = [], [], []
-        # off-diagonal blocks -w sigma (and the transpose block)
-        for e, (i, j) in enumerate(self.edge_index):
-            blk = self.weights[e] * self.sigmas[e]
-            rows.append(i * d + rr)
-            cols.append(j * d + cc)
-            data.append(-blk.reshape(-1))
-            rows.append(j * d + rr)
-            cols.append(i * d + cc)
-            data.append(-blk.T.reshape(-1))
-        # diagonal blocks deg_i * I_d
-        rows.append((np.arange(n)[:, None] * d + np.arange(d)).ravel())
-        cols.append(rows[-1])
-        data.append(np.repeat(self.weighted_degrees, d))
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n * d, n * d),
-        )
-        return mat.tocsr()
+        n, d = self.n, self.d
+        i, j = self.edge_index.T
+        blocks = -(self.weights[:, None, None] * self.sigmas)
+        vertices = np.arange(n)
+        parts = [
+            _block_entries(i, j, blocks, d),
+            _block_entries(j, i, np.transpose(blocks, (0, 2, 1)), d),
+            _diagonal_entries(vertices, vertices, self.weighted_degrees, d),
+        ]
+        return _csr(parts, (n * d, n * d))
 
     @cached_property
     def kernel(self):
@@ -335,8 +356,8 @@ class ConnectionGraph:
     def __getstate__(self):
         """Defining arrays plus the cached validation verdict and kernel.
 
-        The sparse operators and adjacency lists are left out: they are
-        cheap to rebuild and would make up most of the pickle.
+        The sparse operators are left out: they are cheap to rebuild and
+        would make up most of the pickle.
         """
         return {k: v for k, v in self.__dict__.items() if k in _PICKLED_STATE}
 
@@ -364,13 +385,12 @@ def connection_laplacian(g: ConnectionGraph):
 def combinatorial_laplacian(g: ConnectionGraph):
     """Ordinary weighted graph Laplacian of the skeleton, dense (n, n)."""
     g.require_valid()
+    i, j = g.edge_index.T
     lap = np.zeros((g.n, g.n))
-    for e, (i, j) in enumerate(g.edge_index):
-        w = g.weights[e]
-        lap[i, j] -= w
-        lap[j, i] -= w
-        lap[i, i] += w
-        lap[j, j] += w
+    np.add.at(lap, (i, j), -g.weights)
+    np.add.at(lap, (j, i), -g.weights)
+    ends = g.edge_index.reshape(-1)  # i0, j0, i1, j1, ...: degrees sum in edge order
+    np.add.at(lap, (ends, ends), np.repeat(g.weights, 2))
     return lap
 
 
@@ -379,40 +399,14 @@ def apply_BT(g: ConnectionGraph, phi):
 
     ``phi`` has shape (n, d); the result has shape (m, d).
     """
-    phi = _check_field(g, phi)
-    pi = phi[g.edge_index[:, 0]]
-    pj = phi[g.edge_index[:, 1]]
-    return pi - np.einsum("eab,eb->ea", g.sigmas, pj)
+    phi = np.asarray(phi, dtype=float).reshape(-1)
+    return (g.incidence_matrix_T @ phi).reshape(g.m, g.d)
 
 
 def apply_B(g: ConnectionGraph, flow):
     """Apply ``B`` to an edge flow, returning the net divergence field (n, d)."""
-    flow = np.asarray(flow, dtype=float).reshape(g.m, g.d)
-    out = np.zeros((g.n, g.d))
-    np.add.at(out, g.edge_index[:, 0], flow)
-    np.subtract.at(out, g.edge_index[:, 1], np.einsum("eab,ea->eb", g.sigmas, flow))
-    return out
-
-
-def _check_field(g, field):
-    field = np.asarray(field, dtype=float)
-    if field.shape != (g.n, g.d):
-        field = field.reshape(g.n, g.d)
-    return field
-
-
-def _bfs_reach(g: ConnectionGraph):
-    reached = np.zeros(g.n, dtype=bool)
-    reached[0] = True
-    stack = [0]
-    adj = g.neighbors
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if not reached[v]:
-                reached[v] = True
-                stack.append(v)
-    return reached
+    flow = np.asarray(flow, dtype=float).reshape(-1)
+    return (g.incidence_matrix @ flow).reshape(g.n, g.d)
 
 
 def bfs_tree(g: ConnectionGraph, root=0):
@@ -423,20 +417,10 @@ def bfs_tree(g: ConnectionGraph, root=0):
     ``parent[root] = -1``.
     """
     g.require_valid()
-    parent = np.full(g.n, -1, dtype=int)
-    seen = np.zeros(g.n, dtype=bool)
-    seen[root] = True
-    order = [root]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v, _ in g.neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-    return order, parent
+    order, parent = csgraph.breadth_first_order(_adjacency(g.n, g.edge_index), root)
+    parent = parent.astype(int)
+    parent[parent < 0] = -1
+    return order.tolist(), parent
 
 
 def tree_products(g: ConnectionGraph, root=0):
@@ -446,12 +430,31 @@ def tree_products(g: ConnectionGraph, root=0):
     ``i`` down to the root, so a kernel vector with root value ``x`` expands
     as ``f(i) = t[i] @ x``.
     """
-    order, parent = bfs_tree(g, root)
+    return _tree_products(g, *bfs_tree(g, root))
+
+
+def _tree_products(g, order, parent):
     t = np.zeros((g.n, g.d, g.d))
-    t[root] = np.eye(g.d)
+    t[order[0]] = np.eye(g.d)
     for u in order[1:]:
         t[u] = g.sigma_between(u, parent[u]) @ t[parent[u]]
     return t
+
+
+def _chords(g, parent):
+    """Mask of the edges outside the spanning tree given by ``parent``."""
+    i, j = g.edge_index.T
+    return (parent[i] != j) & (parent[j] != i)
+
+
+def _chord_products(g, root=0):
+    """Tree products ``t`` and the cycle products ``t[i]^T sigma_e t[j]`` of
+    the chords (non-tree edges ``e = (i, j)``), in canonical edge order."""
+    order, parent = bfs_tree(g, root)
+    t = _tree_products(g, order, parent)
+    chord = _chords(g, parent)
+    i, j = g.edge_index[chord].T
+    return t, np.swapaxes(t[i], 1, 2) @ g.sigmas[chord] @ t[j]
 
 
 def path_product(g: ConnectionGraph, path):
@@ -477,28 +480,18 @@ def fundamental_cycles(g: ConnectionGraph, root=0):
     vertex path starting and ending at ``root`` that traverses the chord.
     Trees yield an empty list.
     """
-    order, parent = bfs_tree(g, root)
-    tree_edges = set()
-    for u in order:
-        if parent[u] != -1:
-            a, b = min(u, parent[u]), max(u, parent[u])
-            tree_edges.add((a, b))
+    _, parent = bfs_tree(g, root)
 
     def path_to_root(u):
-        path = [u]
+        path = [int(u)]
         while parent[path[-1]] != -1:
             path.append(int(parent[path[-1]]))
         return path
 
-    cycles = []
-    for i, j in g.edge_index:
-        i, j = int(i), int(j)
-        if (i, j) in tree_edges:
-            continue
-        down = path_to_root(i)  # i .. root
-        up = path_to_root(j)  # j .. root
-        cycles.append(list(reversed(down)) + up)
-    return cycles
+    return [
+        list(reversed(path_to_root(i))) + path_to_root(j)
+        for i, j in g.edge_index[_chords(g, parent)]
+    ]
 
 
 def is_consistent(g: ConnectionGraph, tol=1e-8, root=0):
@@ -508,16 +501,8 @@ def is_consistent(g: ConnectionGraph, tol=1e-8, root=0):
     all rooted cycle products, so the reduction is exact.
     """
     g.require_valid()
-    _, parent = bfs_tree(g, root)
-    t = tree_products(g, root)
-    eye = np.eye(g.d)
-    for e, (i, j) in enumerate(g.edge_index):
-        if parent[i] == j or parent[j] == i:
-            continue
-        prod = t[i].T @ g.sigmas[e] @ t[j]
-        if np.abs(prod - eye).max() > tol:
-            return False
-    return True
+    _, prods = _chord_products(g, root)
+    return not (np.abs(prods - np.eye(g.d)) > tol).any()
 
 
 def switch(g: ConnectionGraph, tau):
@@ -528,15 +513,12 @@ def switch(g: ConnectionGraph, tau):
     """
     g.require_valid()
     tau = np.asarray(tau, dtype=float).reshape(g.n, g.d, g.d)
-    eye = np.eye(g.d)
-    fixed = np.array(tau)
-    for i in range(g.n):
-        err = np.abs(tau[i].T @ tau[i] - eye).max()
-        if err > ORTHOGONALITY_TOL:
-            raise InvalidGraphError(
-                f"switching block {i} is not orthogonal (defect {err:.3g})"
-            )
-        fixed[i] = polar_project(tau[i])
+    defect, fixed = _snap(tau, lo=-np.inf)
+    bad = np.flatnonzero(defect > ORTHOGONALITY_TOL)
+    if bad.size:
+        raise InvalidGraphError(
+            f"switching block {bad[0]} is not orthogonal (defect {defect[bad[0]]:.3g})"
+        )
     ti = fixed[g.edge_index[:, 0]]
     tj = fixed[g.edge_index[:, 1]]
     new_sig = np.einsum("eba,ebc,ecd->ead", ti, g.sigmas, tj)

@@ -14,12 +14,7 @@ import json
 import numpy as np
 
 from .errors import FormatError
-from .graph import (
-    EXACT_ORTHOGONALITY_TOL,
-    ORTHOGONALITY_TOL,
-    ConnectionGraph,
-    polar_project,
-)
+from .graph import ORTHOGONALITY_TOL, ConnectionGraph, _snap
 
 __all__ = [
     "graph_from_dict",
@@ -112,18 +107,13 @@ def _nested(arr):
 
 def _orthonormal_stack(arr, where, tol=ORTHOGONALITY_TOL):
     """Polar-project a stack of (semi-)orthogonal matrices, or complain."""
-    out = np.array(arr)
-    d = arr.shape[-1]
-    eye = np.eye(d)
-    for k in range(arr.shape[0]):
-        defect = np.abs(arr[k].T @ arr[k] - eye).max()
-        if defect > tol:
-            raise FormatError(
-                f"{where}: matrix {k} is not orthonormal within {tol:g} "
-                f"(max Gram deviation {defect:.3e})"
-            )
-        if defect > EXACT_ORTHOGONALITY_TOL:
-            out[k] = polar_project(arr[k])
+    defect, out = _snap(arr, hi=tol)
+    bad = np.flatnonzero(defect > tol)
+    if bad.size:
+        raise FormatError(
+            f"{where}: matrix {bad[0]} is not orthonormal within {tol:g} "
+            f"(max Gram deviation {defect[bad[0]]:.3e})"
+        )
     return out
 
 

@@ -14,9 +14,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
+from scipy.spatial import cKDTree
 
 from .errors import InvalidGraphError
-from .graph import ConnectionGraph
+from .graph import ConnectionGraph, _adjacency
 
 __all__ = [
     "GraphSkeleton",
@@ -46,15 +48,6 @@ class GraphSkeleton:
     def m(self):
         return self.edge_index.shape[0]
 
-    def neighbor_lists(self):
-        adj = [[] for _ in range(self.n)]
-        for e, (i, j) in enumerate(self.edge_index):
-            adj[i].append((int(j), e))
-            adj[j].append((int(i), e))
-        for lst in adj:
-            lst.sort()
-        return adj
-
 
 def epsilon_graph(cloud, eps, weights="inverse"):
     """Skeleton with an edge wherever ``0 < |x_i - x_j| < eps`` (strict).
@@ -69,40 +62,31 @@ def epsilon_graph(cloud, eps, weights="inverse"):
         raise InvalidGraphError("cloud must be a 2-d array of shape (n, p)")
     if weights not in ("inverse", "unit"):
         raise InvalidGraphError(f"unknown weight scheme {weights!r}")
+    if not np.isfinite(cloud).all():
+        raise InvalidGraphError("cloud has non-finite coordinates")
     n = cloud.shape[0]
-    diff = cloud[:, None, :] - cloud[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    iu, ju = np.triu_indices(n, k=1)
-    dup = dist[iu, ju] == 0.0
+    # candidates within a slightly larger radius (coincident points at
+    # least); the strict test below decides with one distance formula
+    radius = eps * (1 + 1e-9) if eps > 0 else 0.0
+    pairs = cKDTree(cloud).query_pairs(radius, output_type="ndarray")
+    iu, ju = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+    diff = cloud[iu] - cloud[ju]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dup = dist == 0.0
     if dup.any():
         a, b = int(iu[dup.argmax()]), int(ju[dup.argmax()])
         raise InvalidGraphError(
             f"coincident points {a} and {b}; duplicate positions are not allowed"
         )
-    keep = dist[iu, ju] < eps
+    keep = dist < eps
     edge_index = np.stack([iu[keep], ju[keep]], axis=1)
-    d_edge = dist[iu, ju][keep]
+    d_edge = dist[keep]
     w = 1.0 / d_edge if weights == "inverse" else np.ones_like(d_edge)
 
-    degree = np.zeros(n, dtype=int)
-    np.add.at(degree, edge_index[:, 0], 1)
-    np.add.at(degree, edge_index[:, 1], 1)
-    isolated = [int(v) for v in np.flatnonzero(degree == 0)]
-
-    skeleton = GraphSkeleton(n, edge_index, w, d_edge, isolated, True)
-    seen = np.zeros(n, dtype=bool)
-    if n:
-        stack = [0]
-        seen[0] = True
-        adj = skeleton.neighbor_lists()
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-    skeleton.connected = bool(seen.all())
-    return skeleton
+    adj = _adjacency(n, edge_index)
+    isolated = np.flatnonzero(np.diff(adj.indptr) == 0).tolist()
+    components, _ = csgraph.connected_components(adj)
+    return GraphSkeleton(n, edge_index, w, d_edge, isolated, components <= 1)
 
 
 def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
@@ -119,10 +103,10 @@ def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
     n, p = cloud.shape
     if kernel_scale is None:
         kernel_scale = float(np.sqrt(eps))
-    adj = skeleton.neighbor_lists()
+    adj = _adjacency(n, skeleton.edge_index)
     frames = np.zeros((n, p, d))
     for i in range(n):
-        nbrs = [v for v, _ in adj[i]]
+        nbrs = adj.indices[adj.indptr[i] : adj.indptr[i + 1]]
         if len(nbrs) < d:
             raise InvalidGraphError(
                 f"vertex {i} has {len(nbrs)} neighbors; at least {d} are "
@@ -154,15 +138,10 @@ def procrustes_connection(frames, skeleton: GraphSkeleton, degenerate_tol=1e-8):
     """
     frames = np.asarray(frames, dtype=float)
     n, _, d = frames.shape
-    m = skeleton.m
-    sigmas = np.zeros((m, d, d))
-    flagged = []
-    for e, (i, j) in enumerate(skeleton.edge_index):
-        m_align = frames[i].T @ frames[j]
-        u, s, vt = np.linalg.svd(m_align)
-        if s.min() <= degenerate_tol:
-            flagged.append(int(e))
-        sigmas[e] = u @ vt
+    i, j = skeleton.edge_index.T
+    u, s, vt = np.linalg.svd(np.swapaxes(frames[i], 1, 2) @ frames[j])
+    sigmas = u @ vt
+    flagged = np.flatnonzero(s.min(axis=-1) <= degenerate_tol).tolist()
     if flagged:
         warnings.warn(
             f"{len(flagged)} edge(s) have rank-deficient frame alignments "

@@ -35,7 +35,7 @@ import scipy.optimize
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .feasibility import require_feasible
-from .graph import ConnectionGraph
+from .graph import ConnectionGraph, apply_B, apply_BT
 
 __all__ = [
     "SolveOptions",
@@ -105,12 +105,20 @@ def _edge_norms(flow):
     return np.linalg.norm(flow, axis=1)
 
 
+def _coef(norms, w, lam):
+    """Shrink factor of the closed-form flow, ``(|g_e| - w_e) / (lam |g_e|)``
+    on active edges (``|g_e| > w_e``) and exactly zero elsewhere."""
+    active = norms > w
+    safe = np.where(active, norms, 1.0)
+    return np.where(active, (norms - w) / (lam * safe), 0.0)
+
+
 def dual_objective(g: ConnectionGraph, phi, c, lam):
     """Value of the regularized dual at ``phi``."""
     lam = _resolve_lam(g, lam)
     phi = np.asarray(phi, dtype=float).reshape(g.n, g.d)
     c = np.asarray(c, dtype=float).reshape(g.n, g.d)
-    gvals = (g.incidence_matrix_T @ phi.reshape(-1)).reshape(g.m, g.d)
+    gvals = apply_BT(g, phi)
     excess = _edge_norms(gvals) - g.weights
     penalty = np.where(excess > 0, excess, 0.0)
     return float(np.vdot(phi, c) - (penalty @ penalty) / (2.0 * lam))
@@ -119,20 +127,15 @@ def dual_objective(g: ConnectionGraph, phi, c, lam):
 def recover_primal(g: ConnectionGraph, phi, lam):
     """Closed-form flow from a dual variable; exactly zero on inactive edges."""
     lam = _resolve_lam(g, lam)
-    phi = np.asarray(phi, dtype=float).reshape(g.n, g.d)
-    gvals = (g.incidence_matrix_T @ phi.reshape(-1)).reshape(g.m, g.d)
-    norms = _edge_norms(gvals)
-    active = norms > g.weights
-    safe = np.where(active, norms, 1.0)
-    coef = np.where(active, (norms - g.weights) / (lam * safe), 0.0)
-    return coef[:, None] * gvals
+    gvals = apply_BT(g, phi)
+    return _coef(_edge_norms(gvals), g.weights, lam)[:, None] * gvals
 
 
 def dual_gradient(g: ConnectionGraph, phi, c, lam):
     """Gradient of the dual: the constraint residual ``c - B J(phi)``."""
     c = np.asarray(c, dtype=float).reshape(g.n, g.d)
     flow = recover_primal(g, phi, lam)
-    return c - (g.incidence_matrix @ flow.reshape(-1)).reshape(g.n, g.d)
+    return c - apply_B(g, flow)
 
 
 def primal_cost(g: ConnectionGraph, flow, lam):
@@ -197,11 +200,7 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             gvals = (bmat_t @ phi).reshape(m, d)
-            norms = _edge_norms(gvals)
-            active = norms > w
-            safe = np.where(active, norms, 1.0)
-            coef = np.where(active, (norms - w) / (lam * safe), 0.0)
-            flow = coef[:, None] * gvals
+            flow = _coef(_edge_norms(gvals), w, lam)[:, None] * gvals
             grad = c_vec - bmat @ flow.reshape(-1)
             grad_norm = float(np.linalg.norm(grad))
             if not math.isfinite(grad_norm):
@@ -236,8 +235,7 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
 
 def dual_feasible_unregularized(g: ConnectionGraph, phi, tol=1e-12):
     """Whether ``phi`` is feasible for the unregularized dual: ``|B^T phi| <= w``."""
-    phi = np.asarray(phi, dtype=float).reshape(g.n, g.d)
-    gvals = (g.incidence_matrix_T @ phi.reshape(-1)).reshape(g.m, g.d)
+    gvals = apply_BT(g, phi)
     return bool(np.all(_edge_norms(gvals) <= g.weights * (1.0 + tol) + tol))
 
 

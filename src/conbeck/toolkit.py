@@ -13,9 +13,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import InvalidGraphError, NonConvergenceError
-from .graph import ConnectionGraph, apply_B
+from .graph import ConnectionGraph, _adjacency, apply_B
 from .solver import SolveOptions, solve_regularized
 
 __all__ = [
@@ -83,18 +84,9 @@ def edge_rings(g: ConnectionGraph, support):
         raise InvalidGraphError("ring partition needs a nonempty support")
     if support.min() < 0 or support.max() >= g.n:
         raise InvalidGraphError("support vertex out of range")
-    dist = np.full(g.n, -1, dtype=int)
-    queue = list(dict.fromkeys(int(v) for v in support))
-    for v in queue:
-        dist[v] = 0
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v, _ in g.neighbors[u]:
-            if dist[v] == -1:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    dist = csgraph.dijkstra(
+        _adjacency(g.n, g.edge_index), indices=support, unweighted=True, min_only=True
+    ).astype(int)
     ring = np.minimum(dist[g.edge_index[:, 0]], dist[g.edge_index[:, 1]])
     return RingPartition(dist, ring)
 

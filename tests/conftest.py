@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conbeck.graph import ConnectionGraph, random_orthogonal
+
+# ``pythonpath`` in pyproject.toml puts src/ on this process's path; child
+# ``python -m conbeck`` processes find the package through the environment
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture
@@ -122,3 +132,30 @@ def random_density(rng, n, d):
     """Random vector density: nonnegative entries, each channel sums to 1."""
     vals = rng.uniform(0.1, 1.0, size=(n, d))
     return vals / vals.sum(axis=0, keepdims=True)
+
+
+def queue_bfs(g, sources):
+    """Plain multi-source queue BFS, neighbors in increasing index.
+
+    Returns ``(order, parent, hops)``: the visit order, each vertex's BFS
+    parent (-1 for sources) and its hop distance to the nearest source.
+    """
+    adj = [[] for _ in range(g.n)]
+    for i, j in g.edge_index.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    order = list(dict.fromkeys(int(v) for v in sources))
+    parent = [-1] * g.n
+    hops = [-1] * g.n
+    for v in order:
+        hops[v] = 0
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v in sorted(adj[u]):
+            if hops[v] == -1:
+                hops[v] = hops[u] + 1
+                parent[v] = u
+                order.append(v)
+    return order, parent, hops

@@ -28,7 +28,7 @@ from conbeck.graph import (
     validate_graph,
 )
 
-from conftest import make_path_graph, random_connected_graph
+from conftest import make_path_graph, queue_bfs, random_connected_graph
 
 
 # ---------------------------------------------------------------- validation
@@ -69,6 +69,25 @@ def test_validate_rejects_duplicate_and_misoriented_edges():
 def test_validate_rejects_disconnected():
     g = ConnectionGraph.trivial(4, 1, [(0, 1, 1.0), (2, 3, 1.0)])
     assert any("disconnected" in v for v in validate_graph(g))
+
+
+def test_validate_reports_every_fault_in_order():
+    sheared = [[1.0, 0.5], [0.0, 1.0]]
+    g = ConnectionGraph(
+        4,
+        2,
+        [(0, 1), (0, 5), (2, 2), (1, 0), (1, 2), (2, 3)],
+        [1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
+        [np.eye(2)] * 5 + [sheared],
+    )
+    assert validate_graph(g) == [
+        "edge 1: endpoint out of range (0, 5)",
+        "edge 2: self-loop at vertex 2",
+        "edge 3: endpoints not in index orientation (1 > 0)",
+        "edge 3: duplicate of edge (0, 1)",
+        "edge 4: weight 0.0 is not positive and finite",
+        "edge 5: sigma is not orthogonal (|sigma^T sigma - I|_max = 0.5)",
+    ]
 
 
 def test_validate_rejects_self_loop():
@@ -351,6 +370,17 @@ def test_bfs_tree_deterministic_order():
     order, parent = bfs_tree(g, 0)
     assert order == [0, 1, 2, 3]
     assert parent.tolist() == [-1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bfs_tree_matches_queue_bfs(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n=25, d=2, extra_edges=15)
+    root = int(rng.integers(g.n))
+    order, parent, _ = queue_bfs(g, [root])
+    got_order, got_parent = bfs_tree(g, root)
+    assert got_order == order
+    assert got_parent.tolist() == parent
 
 
 def test_sigma_between_orientation(sign_path):

@@ -173,6 +173,18 @@ def test_frames_reject_non_orthonormal():
         frames_from_dict({"n": 1, "p": 2, "d": 3, "frames": np.zeros((1, 2, 3)).tolist()})
 
 
+def test_frames_near_orthonormal_are_snapped():
+    from conbeck.io import frames_from_dict
+
+    rng = np.random.default_rng(76)
+    exact = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    near = exact * (1 + 1e-11)  # inside the load tolerance, above exactness
+    loaded = frames_from_dict({"n": 2, "p": 3, "d": 2, "frames": [exact.tolist(), near.tolist()]})
+    assert np.array_equal(loaded[0], exact)
+    assert np.abs(loaded[1].T @ loaded[1] - np.eye(2)).max() <= 1e-15
+    assert np.abs(loaded[1] - exact).max() <= 1e-14
+
+
 def test_tau_round_trip(tmp_path):
     rng = np.random.default_rng(75)
     tau = np.stack([random_orthogonal(2, rng) for _ in range(5)])

@@ -47,11 +47,35 @@ def test_epsilon_graph_weight_schemes():
         epsilon_graph(cloud, eps=3.0, weights="gauss")
 
 
+def test_epsilon_graph_matches_brute_force_in_3d():
+    rng = np.random.default_rng(3)
+    cloud = rng.uniform(size=(120, 3))
+    diff = cloud[:, None, :] - cloud[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    # the radius is exactly one pair's distance: that pair is left out
+    edge = (17, 42)
+    eps = dist[edge]
+    iu, ju = np.triu_indices(cloud.shape[0], k=1)
+    keep = dist[iu, ju] < eps
+    skeleton = epsilon_graph(cloud, eps)
+    assert list(edge) not in skeleton.edge_index.tolist()
+    assert np.array_equal(skeleton.edge_index, np.stack([iu[keep], ju[keep]], axis=1))
+    assert np.array_equal(skeleton.distances, dist[iu, ju][keep])
+    assert np.array_equal(skeleton.weights, 1.0 / dist[iu, ju][keep])
+    assert skeleton.m > 100
+
+
 def test_epsilon_graph_rejects_duplicates():
     cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InvalidGraphError) as err:
         epsilon_graph(cloud, eps=2.0)
     assert "0" in str(err.value) and "2" in str(err.value)
+
+
+def test_epsilon_graph_rejects_non_finite_points():
+    cloud = np.array([[0.0, 0.0], [np.nan, 0.0], [0.5, 0.0]])
+    with pytest.raises(InvalidGraphError, match="non-finite"):
+        epsilon_graph(cloud, eps=1.0)
 
 
 def test_epsilon_graph_reports_isolated_and_disconnected():

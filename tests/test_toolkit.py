@@ -19,7 +19,7 @@ from conbeck.toolkit import (
     spectral_cluster,
 )
 
-from conftest import make_grid_graph, make_path_graph
+from conftest import make_grid_graph, make_path_graph, queue_bfs, random_connected_graph
 
 
 # --------------------------------------------------------------- pseudo dirac
@@ -73,6 +73,20 @@ def test_edge_rings_full_support_all_zero():
     rings = edge_rings(g, range(4))
     assert rings.edge_ring.tolist() == [0, 0, 0]
     assert rings.max_ring == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_rings_match_queue_bfs(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n=25, d=1, extra_edges=10)
+    support = rng.choice(g.n, size=3, replace=False)
+    support = [support[0], support[1], support[0], support[2]]  # one repeated
+    _, _, hops = queue_bfs(g, support)
+    rings = edge_rings(g, support)
+    assert rings.vertex_distance.tolist() == hops
+    i, j = g.edge_index.T
+    expected = np.minimum(np.array(hops)[i], np.array(hops)[j])
+    assert rings.edge_ring.tolist() == expected.tolist()
 
 
 def test_edge_rings_empty_support_rejected():
