@@ -9,7 +9,6 @@ is written).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -108,15 +107,7 @@ def _cmd_check(args):
     basis = g.kernel
     print(f"kernel dimension: {basis.dimension}")
     if args.kernel_out:
-        obj = {
-            "n": g.n,
-            "d": g.d,
-            "dimension": basis.dimension,
-            "vectors": [v.tolist() for v in basis.vectors],
-        }
-        with open(args.kernel_out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        io.save_kernel(args.kernel_out, basis)
     return 0
 
 

@@ -46,8 +46,6 @@ class KernelBasis:
 
     def inner_products(self, field):
         """Inner products of a field against each basis vector, shape (k,)."""
-        if self.dimension == 0:
-            return np.zeros(0)
         return np.einsum("knd,nd->k", self.vectors, np.asarray(field, dtype=float))
 
 
@@ -159,13 +157,17 @@ def require_feasible(g: ConnectionGraph, alpha, beta, tol=1e-8):
     return basis
 
 
-def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None, eigval_ratio=1e-3):
+#: :func:`project_feasible` removes the modes of L up to this fraction of ``max(lambda_max, 1)``.
+NEAR_KERNEL_RATIO = 1e-3
+
+
+def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None):
     """Remove near-kernel components from a field, or from a stack of them.
 
     Modes are the eigenvectors of L with eigenvalue at most
-    ``eigval_ratio * lambda_max`` (or exactly ``num_modes`` lowest modes
-    when given).  With an ``anchor``, the anchor's components along those
-    modes are kept, so the result is feasible against the likewise
+    ``NEAR_KERNEL_RATIO * max(lambda_max, 1)`` (or exactly ``num_modes``
+    lowest modes when given).  With an ``anchor``, the anchor's components
+    along those modes are kept, so the result is feasible against the likewise
     projected anchor; the default anchor is the zero field.  ``field`` is
     one (n, d) field or a (k, n, d) stack; a stack is projected against a
     single eigendecomposition and returned with the same shape.
@@ -178,7 +180,7 @@ def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None, eig
     lap = g.laplacian_matrix.toarray()
     eigs, vecs = np.linalg.eigh(lap)
     if num_modes is None:
-        num_modes = int(np.count_nonzero(eigs <= eigval_ratio * max(eigs[-1], 1.0)))
+        num_modes = int(np.count_nonzero(eigs <= NEAR_KERNEL_RATIO * max(eigs[-1], 1.0)))
     modes = vecs[:, :num_modes]
     out = rows - ((rows - ref) @ modes) @ modes.T
     return out.reshape(-1, g.n, g.d) if stacked else out.reshape(g.n, g.d)

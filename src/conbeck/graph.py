@@ -108,6 +108,15 @@ def _adjacency(n, edge_index):
     return adj
 
 
+def _index_oriented(edge_index, sigmas):
+    """Edges given as ``(j, i)`` with ``j > i`` flipped to ``(i, j)``, their
+    sigma transposed; returns new ``(edge_index, sigmas)`` arrays."""
+    rev = edge_index[:, 0] > edge_index[:, 1]
+    edge_index = np.where(rev[:, None], edge_index[:, ::-1], edge_index)
+    sigmas = np.where(rev[:, None, None], np.swapaxes(sigmas, 1, 2), sigmas)
+    return edge_index, sigmas
+
+
 def random_orthogonal(d, rng):
     """Haar-ish random orthogonal d x d matrix (QR with sign fix)."""
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
@@ -246,22 +255,16 @@ class ConnectionGraph:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_edges(cls, n, d, edges, normalize=True):
+    def from_edges(cls, n, d, edges):
         """Build from ``(i, j, w, sigma)`` tuples.
 
-        With ``normalize=True`` edges given as ``(j, i)`` with ``j > i``
-        are flipped to index orientation, transposing their sigma.
+        Edges given as ``(j, i)`` with ``j > i`` are flipped to index
+        orientation, transposing their sigma.
         """
-        idx = np.zeros((len(edges), 2), dtype=int)
-        w = np.zeros(len(edges))
-        sig = np.zeros((len(edges), d, d))
-        for e, (i, j, we, se) in enumerate(edges):
-            se = np.asarray(se, dtype=float).reshape(d, d)
-            if normalize and i > j:
-                i, j, se = j, i, se.T
-            idx[e] = (i, j)
-            w[e] = we
-            sig[e] = se
+        idx = np.array([(i, j) for i, j, _, _ in edges], dtype=int).reshape(-1, 2)
+        w = np.array([we for _, _, we, _ in edges], dtype=float)
+        sig = np.array([np.reshape(s, (d, d)) for *_, s in edges], dtype=float)
+        idx, sig = _index_oriented(idx, sig.reshape(-1, d, d))
         return cls(n, d, idx, w, sig)
 
     @classmethod
@@ -280,29 +283,6 @@ class ConnectionGraph:
         """
         _, sig = _snap(self.sigmas)
         return ConnectionGraph(self.n, self.d, self.edge_index, self.weights, sig)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "d": self.d,
-            "edges": [
-                {
-                    "i": int(i),
-                    "j": int(j),
-                    "w": float(w),
-                    "sigma": [float(x) for x in sig.reshape(-1)],
-                }
-                for (i, j), w, sig in zip(self.edge_index, self.weights, self.sigmas)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj, validate=True):
-        from .io import graph_from_dict  # local import to avoid a cycle
-
-        return graph_from_dict(obj, validate=validate)
 
     # -- operators ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import FormatError
-from .graph import ORTHOGONALITY_TOL, ConnectionGraph, _snap
+from .graph import ORTHOGONALITY_TOL, ConnectionGraph, _index_oriented, _snap
 
 __all__ = [
     "graph_from_dict",
@@ -42,6 +42,7 @@ __all__ = [
     "load_trajectory",
     "save_trajectory",
     "save_report",
+    "save_kernel",
     "load_points",
     "save_points",
     "load_matrix",
@@ -101,10 +102,6 @@ def _as_array(values, shape, where):
     return arr
 
 
-def _nested(arr):
-    return arr.tolist()
-
-
 def _orthonormal_stack(arr, where, tol=ORTHOGONALITY_TOL):
     """Polar-project a stack of (semi-)orthogonal matrices, or complain."""
     defect, out = _snap(arr, hi=tol)
@@ -123,7 +120,10 @@ def _orthonormal_stack(arr, where, tol=ORTHOGONALITY_TOL):
 
 
 def graph_to_dict(g):
-    return g.to_json_dict()
+    tails, heads = g.edge_index.T.tolist()
+    columns = zip(tails, heads, g.weights.tolist(), g.sigmas.reshape(g.m, g.d * g.d).tolist())
+    edges = [{"i": i, "j": j, "w": w, "sigma": sigma} for i, j, w, sigma in columns]
+    return {"n": g.n, "d": g.d, "edges": edges}
 
 
 def graph_from_dict(obj, validate=True):
@@ -139,13 +139,12 @@ def graph_from_dict(obj, validate=True):
     edges = _get(obj, "edges", where)
     if not isinstance(edges, list):
         raise FormatError(f"{where}: 'edges' must be a list")
-    parsed = []
     for k, entry in enumerate(edges):
         loc = f"{where}: edge {k}"
         if not isinstance(entry, dict):
             raise FormatError(f"{loc}: expected an object")
-        i = _get_int(entry, "i", loc)
-        j = _get_int(entry, "j", loc)
+        _get_int(entry, "i", loc)
+        _get_int(entry, "j", loc)
         w = _get(entry, "w", loc)
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise FormatError(f"{loc}: 'w' must be a number, got {w!r}")
@@ -154,8 +153,19 @@ def graph_from_dict(obj, validate=True):
             raise FormatError(
                 f"{loc}: 'sigma' must be a flat row-major list of {d * d} numbers"
             )
-        parsed.append((i, j, float(w), _as_array(sigma, (d * d,), loc).reshape(d, d)))
-    g = ConnectionGraph.from_edges(n, d, parsed).canonicalized()
+    m = len(edges)
+    edge_index = np.array([(e["i"], e["j"]) for e in edges], dtype=int).reshape(m, 2)
+    weights = np.array([e["w"] for e in edges], dtype=float)
+    # an empty list would read as shape (0,)
+    rows = [e["sigma"] for e in edges] or np.zeros((0, d * d))
+    try:
+        sigmas = _as_array(rows, (m, d * d), where)
+    except FormatError:
+        for k, sigma in enumerate(rows):  # name the first bad edge
+            _as_array(sigma, (d * d,), f"{where}: edge {k}")
+        raise
+    edge_index, sigmas = _index_oriented(edge_index, sigmas.reshape(m, d, d))
+    g = ConnectionGraph(n, d, edge_index, weights, sigmas).canonicalized()
     if validate:
         g.require_valid()
     return g
@@ -177,7 +187,7 @@ def save_graph(path, g):
 def field_to_dict(field):
     field = np.asarray(field, dtype=float)
     n, d = field.shape
-    return {"n": n, "d": d, "values": _nested(field)}
+    return {"n": n, "d": d, "values": field.tolist()}
 
 
 def field_from_dict(obj):
@@ -198,7 +208,7 @@ def save_field(path, field):
 def flow_to_dict(flow):
     flow = np.asarray(flow, dtype=float)
     m, d = flow.shape
-    return {"m": m, "d": d, "values": _nested(flow)}
+    return {"m": m, "d": d, "values": flow.tolist()}
 
 
 def flow_from_dict(obj):
@@ -224,7 +234,7 @@ def save_flow(path, flow):
 def frames_to_dict(frames):
     frames = np.asarray(frames, dtype=float)
     n, p, d = frames.shape
-    return {"n": n, "p": p, "d": d, "frames": _nested(frames)}
+    return {"n": n, "p": p, "d": d, "frames": frames.tolist()}
 
 
 def frames_from_dict(obj):
@@ -249,7 +259,7 @@ def save_frames(path, frames):
 def tau_to_dict(tau):
     tau = np.asarray(tau, dtype=float)
     n, d, _ = tau.shape
-    return {"n": n, "d": d, "tau": _nested(tau)}
+    return {"n": n, "d": d, "tau": tau.tolist()}
 
 
 def tau_from_dict(obj):
@@ -280,10 +290,10 @@ def trajectory_to_dict(states, ambient=None):
         "n": n,
         "d": d,
         "steps": len(states) - 1,
-        "states": [_nested(s) for s in states],
+        "states": [s.tolist() for s in states],
     }
     if ambient is not None:
-        obj["ambient"] = [_nested(np.asarray(a, dtype=float)) for a in ambient]
+        obj["ambient"] = [np.asarray(a, dtype=float).tolist() for a in ambient]
     return obj
 
 
@@ -322,6 +332,13 @@ def save_trajectory(path, states, ambient=None):
 
 def save_report(path, report):
     _dump_json(path, report.to_json_dict())
+
+
+def save_kernel(path, basis):
+    """Write a kernel basis: ``n``, ``d``, ``dimension`` and the (k, n, d) ``vectors``."""
+    _, n, d = basis.vectors.shape
+    vectors = basis.vectors.tolist()
+    _dump_json(path, {"n": n, "d": d, "dimension": basis.dimension, "vectors": vectors})
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +422,9 @@ def save_active_edges(path, g, flow, delta=0.0):
     """Write active edges (per-edge flow norm above ``delta``) as CSV."""
     flow = np.asarray(flow, dtype=float).reshape(g.m, g.d)
     norms = np.linalg.norm(flow, axis=1)
+    active = np.flatnonzero(norms > delta)
+    rows = zip(active.tolist(), g.edge_index[active].tolist(), norms[active].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("edge_index,i,j,flow_norm\n")
-        for e in range(g.m):
-            if norms[e] > delta:
-                i, j = g.edge_index[e]
-                fh.write(f"{e},{int(i)},{int(j)},{repr(float(norms[e]))}\n")
+        for e, (i, j), norm in rows:
+            fh.write(f"{e},{i},{j},{norm!r}\n")

@@ -127,21 +127,25 @@ def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
     return frames
 
 
-def procrustes_connection(frames, skeleton: GraphSkeleton, degenerate_tol=1e-8):
+#: :func:`procrustes_connection` warns of alignments with a singular value at or below this.
+DEGENERATE_TOL = 1e-8
+
+
+def procrustes_connection(frames, skeleton: GraphSkeleton):
     """Connection graph with ``sigma_ij`` the orthogonal Procrustes fit.
 
     For each skeleton edge the alignment ``O_i^T O_j`` is projected to the
     nearest orthogonal matrix through its SVD ``U V^T``.  Edges whose
     alignment is numerically rank deficient (smallest singular value at or
-    below ``degenerate_tol``) are flagged with a warning: their Procrustes
-    fit is not unique.
+    below :data:`DEGENERATE_TOL`) are flagged with a warning: their
+    Procrustes fit is not unique.
     """
     frames = np.asarray(frames, dtype=float)
     n, _, d = frames.shape
     i, j = skeleton.edge_index.T
     u, s, vt = np.linalg.svd(np.swapaxes(frames[i], 1, 2) @ frames[j])
     sigmas = u @ vt
-    flagged = np.flatnonzero(s.min(axis=-1) <= degenerate_tol).tolist()
+    flagged = np.flatnonzero(s.min(axis=-1) <= DEGENERATE_TOL).tolist()
     if flagged:
         warnings.warn(
             f"{len(flagged)} edge(s) have rank-deficient frame alignments "

@@ -31,7 +31,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .feasibility import require_feasible
@@ -354,6 +353,8 @@ def wasserstein_lp(g: ConnectionGraph, alpha, beta):
     ``min w (J+ + J-)`` subject to ``B (J+ - J-) = c`` with HiGHS.
     Returns ``(value, flow)``.  Small-scale reference implementation.
     """
+    import scipy.optimize  # only this reference needs it; keeps CLI start-up light
+
     g.require_valid()
     if g.d != 1:
         raise InvalidGraphError("the LP reference handles d = 1 only")

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from .errors import InvalidGraphError, NonConvergenceError
+from .feasibility import is_feasible
 from .graph import ConnectionGraph, _adjacency, apply_B
 from .solver import SolveOptions, solve_regularized
 
@@ -141,40 +142,35 @@ def distance_matrix(
     fields,
     opts: SolveOptions | None = None,
     jobs=1,
-    feas_tol=1e-8,
     require_convergence=True,
     return_converged=False,
 ):
     """Symmetric matrix of pairwise regularized transport costs.
 
-    Infeasible pairs get ``inf`` without running the solver; the diagonal
-    is exactly zero.  The kernel is computed once, as ``g.kernel``.  With
-    ``jobs > 1`` the pairwise solves run in a process pool (they are
-    independent): each worker receives the graph, its kernel and the
-    fields once, and a task is just a pair of indices.  Results are
-    deterministic either way.  A pair that exhausts the epoch budget raises
-    :class:`NonConvergenceError` unless ``require_convergence=False``.
-    With ``return_converged=True`` a boolean matrix of per-pair convergence
-    flags is returned alongside (infeasible pairs and the diagonal count
-    as converged).
+    Infeasible pairs (:func:`~conbeck.feasibility.is_feasible`) get ``inf``
+    without running the solver; the diagonal is exactly zero.  The kernel
+    is computed once, as ``g.kernel``.  With ``jobs > 1`` the pairwise
+    solves run in a process pool (they are independent): each worker
+    receives the graph, its kernel and the fields once, and a task is just
+    a pair of indices.  Results are deterministic either way.  A pair that
+    exhausts the epoch budget raises :class:`NonConvergenceError` unless
+    ``require_convergence=False``.  With ``return_converged=True`` a boolean
+    matrix of per-pair convergence flags is returned alongside (infeasible
+    pairs and the diagonal count as converged).
     """
     if opts is None:
         opts = SolveOptions()
     fields = [np.asarray(f, dtype=float).reshape(g.n, g.d) for f in fields]
     k = len(fields)
-    basis = g.kernel
     dist = np.zeros((k, k))
     conv = np.ones((k, k), dtype=bool)
     tasks = []
     for a in range(k):
         for b in range(a + 1, k):
-            diff = fields[a] - fields[b]
-            scale = max(1.0, float(np.linalg.norm(diff)))
-            ips = basis.inner_products(diff)
-            if ips.size and np.abs(ips).max() > feas_tol * scale:
-                dist[a, b] = dist[b, a] = np.inf
-            else:
+            if is_feasible(g, fields[a], fields[b]):
                 tasks.append((a, b))
+            else:
+                dist[a, b] = dist[b, a] = np.inf
 
     def finish(a, b, cost, converged):
         if not converged and require_convergence:
@@ -207,12 +203,18 @@ class ClusterResult:
     inertia: float
 
 
-def _lloyd(points, k, rng, max_iter):
+#: Seeded k-means restarts in :func:`spectral_cluster` (the lowest inertia
+#: wins) and Lloyd iterations allowed per restart.
+KMEANS_RESTARTS = 20
+KMEANS_MAX_ITER = 300
+
+
+def _lloyd(points, k, rng):
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=int)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         sq = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = sq.argmin(axis=1)
         for c in range(k):
@@ -231,15 +233,16 @@ def _lloyd(points, k, rng, max_iter):
     return labels, converged, inertia
 
 
-def spectral_cluster(affinity, num_clusters, seed=0, restarts=20, max_iter=300):
+def spectral_cluster(affinity, num_clusters, seed=0):
     """Normalized-Laplacian spectral embedding plus deterministic k-means.
 
     The affinity is embedded with the ``num_clusters`` lowest eigenvectors
     of ``I - D^{-1/2} A D^{-1/2}`` (rows normalized to the unit sphere),
-    then clustered by Lloyd's algorithm with ``restarts`` seeded restarts,
-    keeping the lowest-inertia run.  Returns a :class:`ClusterResult`
-    whose ``converged`` flag reports whether the winning restart settled
-    before ``max_iter``; labels are still returned on non-convergence.
+    then clustered by Lloyd's algorithm with :data:`KMEANS_RESTARTS`
+    seeded restarts, keeping the lowest-inertia run.  Returns a
+    :class:`ClusterResult` whose ``converged`` flag reports whether the
+    winning restart settled within :data:`KMEANS_MAX_ITER` iterations;
+    labels are still returned on non-convergence.
     """
     a = np.asarray(affinity, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -259,8 +262,8 @@ def spectral_cluster(affinity, num_clusters, seed=0, restarts=20, max_iter=300):
 
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
-        labels, converged, inertia = _lloyd(embed, num_clusters, rng, max_iter)
+    for _ in range(KMEANS_RESTARTS):
+        labels, converged, inertia = _lloyd(embed, num_clusters, rng)
         if best is None or inertia < best[2] - 1e-12:
             best = (labels, converged, inertia)
     return ClusterResult(labels=best[0], converged=best[1], inertia=best[2])

@@ -524,3 +524,14 @@ def test_module_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "consistent" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # only the LP reference needs scipy.optimize; every command pays for imports
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, conbeck.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -41,18 +41,71 @@ from conftest import random_connected_graph
 
 def test_graph_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(70)
-    g = random_connected_graph(rng, n=7, d=3, extra_edges=5)
+    single_vertex = ConnectionGraph(1, 2, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2, 2)))
+    for g in (random_connected_graph(rng, n=7, d=3, extra_edges=5), single_vertex):
+        path = tmp_path / "g.json"
+        save_graph(path, g)
+        loaded = load_graph(path)
+        assert loaded.n == g.n and loaded.d == g.d
+        assert loaded.edge_index.shape == (g.m, 2)
+        assert loaded.sigmas.shape == (g.m, g.d, g.d)
+        assert np.array_equal(loaded.edge_index, g.edge_index)
+        assert np.array_equal(loaded.weights, g.weights)
+        assert np.array_equal(loaded.sigmas, g.sigmas)
+        # second cycle is also stable
+        path2 = tmp_path / "g2.json"
+        save_graph(path2, loaded)
+        assert path.read_bytes() == path2.read_bytes()
+
+
+def test_graph_file_text(tmp_path):
+    # edge 1 is given reversed and its sigma is orthogonal only to ~1e-13
+    g = ConnectionGraph.from_edges(
+        3,
+        2,
+        [
+            (0, 1, 1.5, [[0.0, -1.0], [1.0, 0.0]]),
+            (2, 1, 0.25, [[0.6, 0.8], [-0.8, 0.6000000000001]]),
+        ],
+    )
     path = tmp_path / "g.json"
     save_graph(path, g)
+    assert path.read_text() == GRAPH_TEXT
     loaded = load_graph(path)
-    assert loaded.n == g.n and loaded.d == g.d
-    assert np.array_equal(loaded.edge_index, g.edge_index)
-    assert np.array_equal(loaded.weights, g.weights)
-    assert np.array_equal(loaded.sigmas, g.sigmas)
-    # second cycle is also stable
-    path2 = tmp_path / "g2.json"
-    save_graph(path2, loaded)
-    assert path.read_bytes() == path2.read_bytes()
+    assert loaded.edge_index.tolist() == [[0, 1], [1, 2]]
+    assert np.array_equal(loaded.sigmas[0], g.sigmas[0])
+    assert np.abs(loaded.sigmas[1] - g.sigmas[1]).max() <= 1e-13
+
+
+GRAPH_TEXT = """{
+  "n": 3,
+  "d": 2,
+  "edges": [
+    {
+      "i": 0,
+      "j": 1,
+      "w": 1.5,
+      "sigma": [
+        0.0,
+        -1.0,
+        1.0,
+        0.0
+      ]
+    },
+    {
+      "i": 1,
+      "j": 2,
+      "w": 0.25,
+      "sigma": [
+        0.6,
+        -0.8,
+        0.8,
+        0.6000000000001
+      ]
+    }
+  ]
+}
+"""
 
 
 def test_graph_load_reprojects_noisy_sigma(tmp_path):
@@ -93,18 +146,41 @@ def test_graph_load_flips_reversed_edges():
 
 
 def test_graph_schema_errors():
-    with pytest.raises(FormatError):
-        graph_from_dict({"d": 1, "edges": []})  # missing n
-    with pytest.raises(FormatError):
-        graph_from_dict({"n": 2, "d": 1, "edges": "nope"})
-    with pytest.raises(FormatError):
-        graph_from_dict(
-            {"n": 2, "d": 2, "edges": [{"i": 0, "j": 1, "w": 1.0, "sigma": [1.0]}]}
-        )
-    with pytest.raises(FormatError):
-        graph_from_dict(
-            {"n": 2, "d": 1, "edges": [{"i": 0, "j": 1, "w": True, "sigma": [1.0]}]}
-        )
+    good = {"i": 0, "j": 1, "w": 1.0, "sigma": [1.0, 0.0, 0.0, 1.0]}
+
+    def second_edge(**entry):
+        return {"n": 3, "d": 2, "edges": [good, {"i": 1, "j": 2, **entry}]}
+
+    cases = [
+        ({"d": 1, "edges": []}, "graph: missing required key 'n'"),
+        ({"n": 2, "d": 1, "edges": "nope"}, "graph: 'edges' must be a list"),
+        (
+            {"n": 3, "d": 2, "edges": [good, [1, 2, 1.0]]},
+            "graph: edge 1: expected an object",
+        ),
+        (second_edge(w=1.0), "graph: edge 1: missing required key 'sigma'"),
+        (
+            second_edge(w=True, sigma=[1.0, 0.0, 0.0, 1.0]),
+            "graph: edge 1: 'w' must be a number, got True",
+        ),
+        (
+            second_edge(w=1.0, sigma=[1.0]),
+            "graph: edge 1: 'sigma' must be a flat row-major list of 4 numbers",
+        ),
+        (
+            second_edge(w=1.0, sigma=[1.0, "x", 0.0, 1.0]),
+            "graph: edge 1: expected a numeric array "
+            "(could not convert string to float: 'x')",
+        ),
+        (
+            second_edge(w=1.0, sigma=[1.0, 0.0, float("nan"), 1.0]),
+            "graph: edge 1: array contains non-finite entries",
+        ),
+    ]
+    for obj, message in cases:
+        with pytest.raises(FormatError) as exc:
+            graph_from_dict(obj)
+        assert str(exc.value) == message
 
 
 def test_graph_file_not_json(tmp_path):
