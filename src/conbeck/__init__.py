@@ -13,7 +13,6 @@ file codecs plus the command line front end (:mod:`conbeck.io`,
 
 from .errors import (
     ConbeckError,
-    ConsistencyError,
     FeasibilityError,
     FormatError,
     InvalidGraphError,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConbeckError",
-    "ConsistencyError",
     "FeasibilityError",
     "FormatError",
     "InvalidGraphError",

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import io
 from .errors import (
-    ConsistencyError,
     FeasibilityError,
     FormatError,
     InvalidGraphError,
@@ -397,7 +396,7 @@ def main(argv=None):
     except NonConvergenceError as exc:
         _err(str(exc))
         return 4
-    except (InvalidGraphError, FormatError, ConsistencyError) as exc:
+    except (InvalidGraphError, FormatError) as exc:
         _err(str(exc))
         return 2
     except OSError as exc:

@@ -26,9 +26,5 @@ class FeasibilityError(ConbeckError):
         self.components = list(components) if components is not None else []
 
 
-class ConsistencyError(ConbeckError):
-    """A structured kernel basis failed its numerical verification."""
-
-
 class NonConvergenceError(ConbeckError):
     """An iterative solve exhausted its epoch budget before its tolerance."""

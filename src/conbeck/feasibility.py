@@ -1,11 +1,14 @@
 """Spectral feasibility: kernel bases, feasibility tests, switching.
 
 A source/target pair (alpha, beta) admits a finite-cost flow exactly when
-the difference alpha - beta is orthogonal to ker(L) = ker(B^T).  The
-kernel is computed two ways: numerically from the operator spectrum, and
-structurally from the fixed space of the fundamental cycle products
-expanded along spanning-tree paths.  The structured route verifies itself
-against the numeric one at runtime.
+the difference alpha - beta is orthogonal to ker(L) = ker(B^T).  On a
+connected graph ker(L) is the space of parallel sections: the fixed space
+of the fundamental cycle products, expanded along spanning-tree paths.
+That structured route is the one :attr:`ConnectionGraph.kernel` uses when
+the connection is flat within the tolerance; otherwise the kernel, like
+the near-kernel modes of :func:`project_feasible`, comes from a sparse
+shift-invert eigensolve of L.  The numeric route, a dense eigensolve of
+L, is kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csgraph
+from scipy.sparse.linalg import eigsh
 
-from .errors import ConsistencyError, FeasibilityError
-from .graph import ConnectionGraph, _chord_products, tree_products
+from .errors import FeasibilityError
+from .graph import ConnectionGraph, _adjacency, tree_products
 
 __all__ = [
     "KernelBasis",
@@ -34,7 +39,9 @@ class KernelBasis:
     """Orthonormal basis of (near-)kernel vector fields.
 
     ``vectors`` has shape (k, n, d) with 0 <= k <= d for connected graphs;
-    ``tol`` is the absolute zero-eigenvalue threshold that was applied.
+    ``tol`` is the absolute threshold that was applied: the zero-eigenvalue
+    threshold, or, for the parallel sections of :func:`kernel_structured`,
+    their residual tolerance.
     """
 
     vectors: np.ndarray
@@ -58,8 +65,8 @@ def kernel_numeric(g: ConnectionGraph, tol=1e-8):
     ``|B^T f|`` stays at machine level: the eigensolver's error in a
     kernel vector lies along eigenvectors of nonzero eigenvalue, where
     B^T does not amplify it.  Costs O((n d)^3) time and O((n d)^2) memory,
-    independent of the edge count.  :attr:`ConnectionGraph.kernel` caches
-    the result for the default ``tol``.
+    independent of the edge count.  No command calls it: it is the dense
+    reference that tests hold :func:`kernel_structured` against.
     """
     g.require_valid()
     lap = g.laplacian_matrix.toarray()
@@ -73,51 +80,47 @@ def kernel_numeric(g: ConnectionGraph, tol=1e-8):
 
 
 def kernel_structured(g: ConnectionGraph, root=0, tol=1e-8):
-    """Kernel basis via cycle fixed spaces and tree-path expansion.
+    """Kernel basis from parallel sections, with the dense rule's count.
 
-    Solves for the joint fixed space W = {x : sigma_C x = x} over the
-    fundamental cycle products, then expands each basis vector x along
-    BFS tree paths as ``f(i) = sigma_{P_{i,root}} x`` and normalizes.
-    Raises :class:`ConsistencyError` if a produced vector fails
-    ``|B^T f| <= tol`` or the span disagrees with :func:`kernel_numeric`.
+    The d fields ``f_k(i) = sigma_{P_{i,root}} e_k / sqrt(n)``, expanded
+    along BFS tree paths, are orthonormal, and ``B^T`` maps them to the
+    weighted defects of the fundamental cycle products seen from the root.
+    When every unit combination has ``|B^T f| <= tol`` (the 2-norm of the
+    (m d) x d residual) and :func:`_at_most_d_kernel_modes` rules out any
+    other mode at or below ``tol * max(lambda_max, 1)``, they are the basis:
+    O(m d^2) time and memory.  Otherwise the basis is the eigenvectors of L
+    with eigenvalue at or below that threshold, from the sparse solver of
+    :func:`project_feasible`; this is the count rule of
+    :func:`kernel_numeric`, with no dense L above the smallest graphs.
+    :attr:`ConnectionGraph.kernel` caches the result for the defaults.
     """
     g.require_valid()
     d = g.d
-    t, prods = _chord_products(g, root)
-    if prods.size:
-        stacked = (prods - np.eye(d)).reshape(-1, d)
-        _, svals, vt = np.linalg.svd(stacked, full_matrices=True)
-        svals = np.concatenate([svals, np.zeros(d - svals.size)])
-        k = int(np.count_nonzero(svals <= tol))
-        roots = vt[d - k :][::-1] if k else np.zeros((0, d))
-    else:
-        roots = np.eye(d)
-        k = d
-    fields = np.einsum("nab,kb->kna", t, roots) / np.sqrt(g.n)
-    basis = KernelBasis(fields, tol)
+    fields = np.moveaxis(tree_products(g, root), 2, 0) / np.sqrt(g.n)
+    resid = g.incidence_matrix_T @ fields.reshape(d, g.n * d).T
+    if (not g.m or np.linalg.norm(resid, 2) <= tol) and _at_most_d_kernel_modes(g, root, tol):
+        return KernelBasis(fields, tol)
+    modes, threshold = _lowest_modes(g, tol)
+    return KernelBasis(modes.T.reshape(-1, g.n, d), threshold)
 
-    resid = np.linalg.norm(g.incidence_matrix_T @ fields.reshape(k, g.n * d).T, axis=0)
-    bad = np.flatnonzero(resid > tol)
-    if bad.size:
-        raise ConsistencyError(
-            f"structured kernel vector {bad[0]} has |B^T f| = {resid[bad[0]]:.3g} > {tol:.3g}"
-        )
-    numeric = g.kernel
-    if numeric.dimension != k:
-        raise ConsistencyError(
-            f"structured kernel dimension {k} disagrees with numeric "
-            f"dimension {numeric.dimension}"
-        )
-    if k:
-        gram = np.einsum(
-            "knd,lnd->kl", numeric.vectors, fields
-        )
-        smin = float(np.linalg.svd(gram, compute_uv=False).min())
-        if smin < 1 - 1e-7:
-            raise ConsistencyError(
-                f"structured and numeric kernel spans disagree (cos angle {smin:.6f})"
-            )
-    return basis
+
+def _at_most_d_kernel_modes(g: ConnectionGraph, root, tol):
+    """Whether L provably has at most d eigenvalues at or below ``tol * max(lambda_max, 1)``.
+
+    Switched to the BFS tree's frame, a unit field f with ``f^T L f <=
+    theta`` keeps every f(i) within ``sqrt(D theta / w_min)`` of f(root),
+    by Cauchy-Schwarz along tree paths of at most D edges.  When that is
+    below ``1 / sqrt(n)``, f(root) is nonzero for every such field, so the
+    eigenvectors under ``theta`` span at most d dimensions.  ``theta`` is
+    bounded through ``lambda_max <= 2 max_i deg_i``.  The test fails when
+    ``w_min <= n D theta``, where a weak edge can carry a non-kernel mode
+    under the threshold.
+    """
+    depth = csgraph.shortest_path(
+        _adjacency(g.n, g.edge_index), unweighted=True, indices=root
+    ).max()
+    theta = tol * max(2.0 * g.weighted_degrees.max(), 1.0)
+    return depth == 0 or g.n * depth * theta < g.weights.min()
 
 
 def feasibility_report(g: ConnectionGraph, alpha, beta, tol=1e-8):
@@ -160,6 +163,48 @@ def require_feasible(g: ConnectionGraph, alpha, beta, tol=1e-8):
 #: :func:`project_feasible` removes the modes of L up to this fraction of ``max(lambda_max, 1)``.
 NEAR_KERNEL_RATIO = 1e-3
 
+#: Shift-invert pole for the lowest modes, as a fraction of ``max(lambda_max, 1)``.
+#: Negative, because L is positive semidefinite and may be singular.
+MODE_SHIFT = -1e-6
+
+#: Least Lanczos basis size of scipy's ``eigsh`` (its ``ncv`` is ``max(2 k + 1, 20)``).
+#: An L no larger than the basis is solved densely: ARPACK would span all of it.
+ARPACK_MIN_NCV = 20
+
+
+def _lowest_modes(g: ConnectionGraph, ratio, num_modes=None):
+    """Orthonormal lowest eigenvectors of L as columns, shape (n d, k), and
+    the threshold ``ratio * max(lambda_max, 1)``.
+
+    ``k`` is ``num_modes``, or the number of eigenvalues at or below the
+    threshold.  Shift-invert ``eigsh`` returns them, its ``k`` doubling
+    until the largest returned eigenvalue passes the threshold.  A dense
+    ``eigh`` of L serves only where the Lanczos basis of ``k`` modes would
+    not be smaller than L (see ``ARPACK_MIN_NCV``).  Every ``eigsh`` call
+    starts from the same vector, so the modes are reproducible bit for bit.
+    """
+    lap = g.laplacian_matrix
+    size = lap.shape[0]
+    k = num_modes or 2 * g.d + 2
+    threshold = None
+    while size > max(2 * k + 1, ARPACK_MIN_NCV):
+        if threshold is None:
+            v0 = np.random.default_rng(0).standard_normal(size)
+            lam_max = eigsh(lap, 1, which="LA", v0=v0, return_eigenvectors=False)[0]
+            scale = max(float(lam_max), 1.0)
+            threshold = ratio * scale
+        vals, vecs = eigsh(lap, k, sigma=MODE_SHIFT * scale, v0=v0)
+        if num_modes:
+            return vecs, threshold
+        if vals.max() > threshold:
+            return vecs[:, vals <= threshold], threshold
+        k *= 2
+    eigs, vecs = np.linalg.eigh(lap.toarray())
+    threshold = ratio * max(float(eigs[-1]), 1.0)
+    if num_modes is None:
+        num_modes = int(np.count_nonzero(eigs <= threshold))
+    return vecs[:, :num_modes], threshold
+
 
 def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None):
     """Remove near-kernel components from a field, or from a stack of them.
@@ -170,18 +215,18 @@ def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None):
     along those modes are kept, so the result is feasible against the likewise
     projected anchor; the default anchor is the zero field.  ``field`` is
     one (n, d) field or a (k, n, d) stack; a stack is projected against a
-    single eigendecomposition and returned with the same shape.
+    single set of modes and returned with the same shape.  The modes come
+    from a sparse eigensolve (see :func:`_lowest_modes`), so no dense
+    L is formed above the smallest graphs.
     """
     g.require_valid()
     field = np.asarray(field, dtype=float)
     stacked = field.ndim == 3
     rows = field.reshape(-1, g.n * g.d)
+    if num_modes == 0:
+        return field.copy()
     ref = 0.0 if anchor is None else np.asarray(anchor, dtype=float).reshape(-1)
-    lap = g.laplacian_matrix.toarray()
-    eigs, vecs = np.linalg.eigh(lap)
-    if num_modes is None:
-        num_modes = int(np.count_nonzero(eigs <= NEAR_KERNEL_RATIO * max(eigs[-1], 1.0)))
-    modes = vecs[:, :num_modes]
+    modes, _ = _lowest_modes(g, NEAR_KERNEL_RATIO, num_modes)
     out = rows - ((rows - ref) @ modes) @ modes.T
     return out.reshape(-1, g.n, g.d) if stacked else out.reshape(g.n, g.d)
 

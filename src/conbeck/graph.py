@@ -324,12 +324,15 @@ class ConnectionGraph:
     def kernel(self):
         """Kernel basis of ``L`` at the default tolerance, computed once.
 
-        See :func:`conbeck.feasibility.kernel_numeric`; feasibility tests,
+        The parallel sections along the BFS tree when the connection is
+        flat within the tolerance, O(m d^2), else the eigenvectors of L
+        under the dense rule's threshold from a sparse eigensolve; see
+        :func:`conbeck.feasibility.kernel_structured`.  Feasibility tests,
         solves and distance matrices on this graph all share this basis.
         """
         from . import feasibility  # local import to avoid a cycle
 
-        return feasibility.kernel_numeric(self)
+        return feasibility.kernel_structured(self)
 
     # -- pickling -----------------------------------------------------------
 

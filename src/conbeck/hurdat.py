@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import FormatError
 from .manifold import project_to_tangent, sphere_point
@@ -211,6 +210,8 @@ def track_to_field(track, frames, cloud, normalize_before_average=True):
     if diffs.shape[0]:
         if normalize_before_average:
             diffs = diffs / norms[keep, None]
+        from scipy.spatial import cKDTree  # only snapping needs it; keeps CLI start-up light
+
         nearest = cKDTree(cloud).query(bases)[1]
         np.add.at(sums, nearest, diffs)
         np.add.at(counts, nearest, 1.0)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from .errors import InvalidGraphError
 from .graph import ConnectionGraph, _adjacency
@@ -64,6 +63,8 @@ def epsilon_graph(cloud, eps, weights="inverse"):
         raise InvalidGraphError(f"unknown weight scheme {weights!r}")
     if not np.isfinite(cloud).all():
         raise InvalidGraphError("cloud has non-finite coordinates")
+    from scipy.spatial import cKDTree  # only the graph builders need it; keeps CLI start-up light
+
     n = cloud.shape[0]
     # candidates within a slightly larger radius (coincident points at
     # least); the strict test below decides with one distance formula

@@ -9,6 +9,12 @@ import numpy as np
 import pytest
 
 from conbeck.graph import ConnectionGraph, random_orthogonal
+from conbeck.manifold import (
+    epsilon_graph,
+    procrustes_connection,
+    sample_sphere_patch,
+    tangent_frames,
+)
 
 # ``pythonpath`` in pyproject.toml puts src/ on this process's path; child
 # ``python -m conbeck`` processes find the package through the environment
@@ -159,3 +165,32 @@ def queue_bfs(g, sources):
                 parent[v] = u
                 order.append(v)
     return order, parent, hops
+
+
+def curved_sphere_patch(n_lat=6, n_lon=12, eps=0.3):
+    """Procrustes connection on a sphere patch, d = 2: curvature leaves
+    ker L = {0} and a degenerate pair of near-kernel modes."""
+    cloud, _, _ = sample_sphere_patch(n_lat, n_lon)
+    skeleton = epsilon_graph(cloud, eps)
+    return procrustes_connection(tangent_frames(cloud, skeleton, 2, eps), skeleton)
+
+
+def flat_sphere_patch(rng, n_lat=6, n_lon=12, eps=0.3):
+    """Flat connection sigma_ij = tau_i^T tau_j with Haar tau on a sphere
+    patch, d = 2; returns ``(g, tau)``, where ker L = {f(i) = tau_i^T x}."""
+    cloud, _, _ = sample_sphere_patch(n_lat, n_lon)
+    skeleton = epsilon_graph(cloud, eps)
+    tau = np.array([random_orthogonal(2, rng) for _ in range(cloud.shape[0])])
+    i, j = skeleton.edge_index.T
+    sigmas = np.einsum("eba,ebc->eac", tau[i], tau[j])
+    return ConnectionGraph(cloud.shape[0], 2, skeleton.edge_index, skeleton.weights, sigmas), tau
+
+
+def near_flat_sphere_patch(rng, noise, n_lat=6, n_lon=12, eps=0.3):
+    """:func:`flat_sphere_patch` with each sigma turned by a random angle of
+    scale ``noise``: still valid, and flat up to that noise; returns ``(g, tau)``."""
+    g, tau = flat_sphere_patch(rng, n_lat, n_lon, eps)
+    theta = noise * rng.standard_normal(g.m)
+    c, s = np.cos(theta), np.sin(theta)
+    turn = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    return ConnectionGraph(g.n, 2, g.edge_index, g.weights, g.sigmas @ turn), tau

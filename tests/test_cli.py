@@ -7,15 +7,22 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conbeck import io
 from conbeck.cli import main
+from conbeck.feasibility import kernel_numeric
 from conbeck.graph import ConnectionGraph
 from conbeck.manifold import epsilon_graph, sample_sphere_patch, tangent_frames
 from conbeck.solver import SolveOptions, solve_regularized, stable_learning_rate
 from conbeck.toolkit import pseudo_dirac
 
-from conftest import make_path_graph
+from conftest import (
+    curved_sphere_patch,
+    flat_sphere_patch,
+    make_path_graph,
+    near_flat_sphere_patch,
+)
 
 
 @pytest.fixture
@@ -375,6 +382,66 @@ def test_distmat_project_kernel_and_jobs(tmp_path, diamond, capsys):
     assert o1.read_bytes() == o2.read_bytes()
 
 
+def test_kernel_commands_run_without_dense_eigensolver(tmp_path, capsys, monkeypatch):
+    # check, feasible and distmat --project-kernel on patches above ARPACK's
+    # basis size: the kernel and the near-kernel modes come without a dense L
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+        monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(36)
+    flat, tau = flat_sphere_patch(rng)
+    curved = curved_sphere_patch()
+    fp, cp = tmp_path / "flat.json", tmp_path / "curved.json"
+    io.save_graph(fp, flat)
+    io.save_graph(cp, curved)
+    kout = tmp_path / "kernel.json"
+    assert main(["check", str(fp), "--kernel-out", str(kout)]) == 0
+    assert "kernel dimension: 2" in capsys.readouterr().out
+    assert main(["check", str(cp)]) == 0
+    assert "kernel dimension: 0" in capsys.readouterr().out
+    alpha = rng.standard_normal((flat.n, 2))
+    a, b = tmp_path / "alpha.json", tmp_path / "beta.json"
+    io.save_field(a, alpha)
+    io.save_field(b, alpha + np.transpose(tau, (0, 2, 1)) @ np.array([1.0, 0.0]))
+    assert main(["feasible", str(fp), str(a), str(b)]) == 3
+    assert "infeasible" in capsys.readouterr().out
+    fields_dir = tmp_path / "fields"
+    fields_dir.mkdir()
+    for k in range(3):
+        io.save_field(fields_dir / f"f{k}.json", rng.standard_normal((curved.n, 2)))
+    out = tmp_path / "D.csv"
+    lam = curved.w_max
+    args = ["distmat", str(cp), str(fields_dir), "--lambda", repr(lam), "--project-kernel"]
+    args += ["--lr", repr(stable_learning_rate(curved, lam)), "--grad-tol", "0.1", "-o", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert np.isfinite(io.load_matrix(out)).all()
+
+
+def test_check_and_feasible_near_flat_patch_keep_the_dense_verdict(tmp_path, capsys):
+    # holonomy noise from 1e-9 (consistent at the default tol) to 1e-5:
+    # the dense rule still counts both parallel sections
+    rng = np.random.default_rng(37)
+    gp = tmp_path / "g.json"
+    verdicts = set()
+    for noise in (1e-9, 1e-7, 1e-5):
+        g, tau = near_flat_sphere_patch(rng, noise)
+        io.save_graph(gp, g)
+        assert main(["check", str(gp)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"kernel dimension: {kernel_numeric(g).dimension}" in lines
+        assert "kernel dimension: 2" in lines
+        verdicts.add(lines[2])
+        a, b = tmp_path / "alpha.json", tmp_path / "beta.json"
+        io.save_field(a, np.zeros((g.n, 2)))
+        io.save_field(b, np.transpose(tau, (0, 2, 1)) @ np.array([1.0, 0.0]))
+        assert main(["feasible", str(gp), str(a), str(b)]) == 3
+        assert "infeasible" in capsys.readouterr().out
+    assert verdicts == {"consistent", "inconsistent"}
+
+
 def test_distmat_nonconvergence_exits_4_with_output(tmp_path, diamond, capsys):
     gp = tmp_path / "g.json"
     io.save_graph(gp, diamond)
@@ -530,6 +597,17 @@ def test_cli_import_leaves_scipy_optimize_out():
     # only the LP reference needs scipy.optimize; every command pays for imports
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, conbeck.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # only buildgraph's epsilon graph and hurdat's snapping need the k-d tree
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, conbeck.cli; print('scipy.spatial' in sys.modules)"],
         capture_output=True,
         text=True,
     )

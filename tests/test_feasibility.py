@@ -10,6 +10,7 @@ alpha = delta_0, beta(2) = -1 gives (1 + (-1))/sqrt(3) = 0 (feasible).
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from conbeck import feasibility
 from conbeck.errors import FeasibilityError, InvalidGraphError
 from conbeck.feasibility import (
+    NEAR_KERNEL_RATIO,
     feasibility_switching,
     is_feasible,
     kernel_numeric,
@@ -25,9 +27,21 @@ from conbeck.feasibility import (
     require_feasible,
 )
 from conbeck.graph import ConnectionGraph, apply_BT, is_consistent, random_orthogonal, switch
-from conbeck.manifold import epsilon_graph, sample_sphere_patch
+from conbeck.manifold import (
+    epsilon_graph,
+    procrustes_connection,
+    sample_torus,
+    tangent_frames,
+)
 
-from conftest import make_path_graph, random_connected_graph, random_density
+from conftest import (
+    curved_sphere_patch,
+    flat_sphere_patch,
+    make_path_graph,
+    near_flat_sphere_patch,
+    random_connected_graph,
+    random_density,
+)
 
 
 # ------------------------------------------------------------------ kernels
@@ -104,13 +118,29 @@ def test_kernel_structured_rotation_triangle_empty():
 
 def test_kernel_structured_matches_numeric_randomized():
     rng = np.random.default_rng(23)
+    cases = []
     for _ in range(10):
         n = int(rng.integers(4, 12))
         d = int(rng.integers(1, 4))
         consistent = [True, False, None][int(rng.integers(0, 3))]
         extra = int(rng.integers(1, 4))
         g = random_connected_graph(rng, n=n, d=d, extra_edges=extra, consistent=consistent)
-        struct = kernel_structured(g)  # self-verifies span against numeric
+        cases.append(g)
+    torus_cloud = sample_torus(10, 40)
+    torus_skeleton = epsilon_graph(torus_cloud, 3.0)
+    cases.append(
+        procrustes_connection(tangent_frames(torus_cloud, torus_skeleton, 2, 3.0), torus_skeleton)
+    )
+    cases.append(curved_sphere_patch())
+    # near-flat: holonomy defects above tol, yet eigenvalues under the dense threshold
+    cases += [near_flat_sphere_patch(rng, noise)[0] for noise in (1e-9, 1e-7, 1e-5)]
+    # flat, with a pendant vertex on a 1e-12 edge: a non-kernel mode under the threshold
+    g = random_connected_graph(rng, n=24, d=2, extra_edges=20, consistent=True)
+    edges = np.vstack([g.edge_index, [[0, g.n]]])
+    sigmas = np.vstack([g.sigmas, [np.eye(2)]])
+    cases.append(ConnectionGraph(g.n + 1, 2, edges, np.append(g.weights, 1e-12), sigmas))
+    for g in cases:
+        struct = kernel_structured(g)
         numeric = kernel_numeric(g)
         assert struct.dimension == numeric.dimension
         if struct.dimension:
@@ -121,13 +151,7 @@ def test_kernel_structured_matches_numeric_randomized():
 
 def test_kernel_flat_sphere_patch_is_parallel_sections():
     # sigma_ij = tau_i^T tau_j with Haar tau: ker L = {f(i) = tau_i^T x}
-    cloud, _, _ = sample_sphere_patch(5, 8)
-    skeleton = epsilon_graph(cloud, 0.6)
-    rng = np.random.default_rng(31)
-    tau = np.array([random_orthogonal(2, rng) for _ in range(cloud.shape[0])])
-    i, j = skeleton.edge_index.T
-    sigmas = np.einsum("eba,ebc->eac", tau[i], tau[j])
-    g = ConnectionGraph(cloud.shape[0], 2, skeleton.edge_index, skeleton.weights, sigmas)
+    g, tau = flat_sphere_patch(np.random.default_rng(31), 5, 8, 0.6)
     basis = kernel_numeric(g)
     assert basis.dimension == 2
     flat = basis.vectors.reshape(2, -1)
@@ -142,13 +166,33 @@ def test_kernel_flat_sphere_patch_is_parallel_sections():
 
 def test_kernel_is_cached_on_the_graph(sign_path, monkeypatch):
     calls = []
-    real = feasibility.kernel_numeric
-    monkeypatch.setattr(feasibility, "kernel_numeric", lambda g: calls.append(g) or real(g))
+    real = feasibility.kernel_structured
+    monkeypatch.setattr(feasibility, "kernel_structured", lambda g: calls.append(g) or real(g))
     first = sign_path.kernel
     assert sign_path.kernel is first
     assert is_feasible(sign_path, np.zeros((3, 1)), np.zeros((3, 1)))
-    kernel_structured(sign_path)
     assert len(calls) == 1
+
+
+def test_kernel_structured_memory_linear_in_chords():
+    # complete graph K_50, d = 2: 1176 chords; a square factor of the
+    # (chords d) x d stack would take (chords d)^2 doubles = 44 MB
+    n, d = 50, 2
+    rng = np.random.default_rng(34)
+    tau = np.array([random_orthogonal(d, rng) for _ in range(n)])
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+    sigmas = np.einsum("eba,ebc->eac", tau[pairs[:, 0]], tau[pairs[:, 1]])
+    g = ConnectionGraph(n, d, pairs, np.ones(len(pairs)), sigmas)
+    chords = g.m - (n - 1)
+    assert chords > 1000
+    tracemalloc.start()
+    try:
+        basis = kernel_structured(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.dimension == d
+    assert peak < (chords * d) ** 2 * 8 / 20
 
 
 def test_pickled_graph_keeps_kernel_not_operators(sign_path):
@@ -259,6 +303,38 @@ def test_project_feasible_stack_matches_single_fields():
             single = project_feasible(g, field, **kwargs)
             assert single.shape == (9, 2)
             assert np.abs(projected - single).max() <= 1e-12
+
+
+def _dense_projection(g, stack, anchor=None, num_modes=None):
+    """project_feasible's rule on a full dense eigendecomposition of L."""
+    eigs, vecs = np.linalg.eigh(g.laplacian_matrix.toarray())
+    if num_modes is None:
+        num_modes = int(np.count_nonzero(eigs <= NEAR_KERNEL_RATIO * max(eigs[-1], 1.0)))
+    modes = vecs[:, :num_modes]
+    rows = stack.reshape(stack.shape[0], -1)
+    ref = 0.0 if anchor is None else anchor.reshape(-1)
+    return (rows - ((rows - ref) @ modes) @ modes.T).reshape(stack.shape), num_modes
+
+
+def test_project_feasible_sparse_matches_dense():
+    rng = np.random.default_rng(35)
+    curved = curved_sphere_patch()
+    low = np.linalg.eigvalsh(curved.laplacian_matrix.toarray())[:3]
+    assert low[1] - low[0] <= 1e-9 < low[2] - low[1]  # a degenerate near-kernel pair
+    # a long path has nine modes under the threshold: k grows from 4 to 16
+    cases = [(curved, 2, 4), (make_path_graph(400, 1), 9, 12)]
+    for g, count, modes in cases:
+        assert g.n * g.d > feasibility.ARPACK_MIN_NCV
+        assert feasibility._lowest_modes(g, NEAR_KERNEL_RATIO)[0].shape == (g.n * g.d, count)
+        stack = rng.standard_normal((3, g.n, g.d))
+        anchor = rng.standard_normal((g.n, g.d))
+        both = {"num_modes": modes, "anchor": anchor}
+        for kwargs in ({}, {"anchor": anchor}, {"num_modes": modes}, both):
+            out = project_feasible(g, stack, **kwargs)
+            expected, used = _dense_projection(g, stack, **kwargs)
+            assert used == kwargs.get("num_modes", count)
+            assert np.abs(out - expected).max() <= 1e-12
+            assert np.array_equal(out, project_feasible(g, stack, **kwargs))
 
 
 def test_project_feasible_num_modes_override(diamond):

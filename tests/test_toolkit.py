@@ -211,8 +211,8 @@ def test_distance_matrix_parallel_matches_serial(sign_path):
 
 def test_distance_matrix_computes_kernel_once(sign_path, monkeypatch):
     calls = []
-    real = feasibility.kernel_numeric
-    monkeypatch.setattr(feasibility, "kernel_numeric", lambda g: calls.append(g) or real(g))
+    real = feasibility.kernel_structured
+    monkeypatch.setattr(feasibility, "kernel_structured", lambda g: calls.append(g) or real(g))
     fields = [
         np.array([[1.0], [0.0], [0.0]]),
         np.array([[0.0], [1.0], [0.0]]),
