@@ -90,7 +90,8 @@ def kernel_structured(g: ConnectionGraph, root=0, tol=1e-8):
     other mode at or below ``tol * max(lambda_max, 1)``, they are the basis:
     O(m d^2) time and memory.  Otherwise the basis is the eigenvectors of L
     with eigenvalue at or below that threshold, from the sparse solver of
-    :func:`project_feasible`; this is the count rule of
+    :func:`project_feasible` (from its cached solve when it has run on
+    ``g``); this is the count rule of
     :func:`kernel_numeric`, with no dense L above the smallest graphs.
     :attr:`ConnectionGraph.kernel` caches the result for the defaults.
     """
@@ -100,8 +101,14 @@ def kernel_structured(g: ConnectionGraph, root=0, tol=1e-8):
     resid = g.incidence_matrix_T @ fields.reshape(d, g.n * d).T
     if (not g.m or np.linalg.norm(resid, 2) <= tol) and _at_most_d_kernel_modes(g, root, tol):
         return KernelBasis(fields, tol)
-    modes, threshold = _lowest_modes(g, tol)
-    return KernelBasis(modes.T.reshape(-1, g.n, d), threshold)
+    # the near-kernel modes, once solved, hold the kernel: the two solves
+    # share their start vector, so lambda_max and the scale are the same
+    near = vars(g).get("near_kernel_modes")
+    if near is None or tol > NEAR_KERNEL_RATIO:
+        near = _lowest_modes(g, tol)
+    modes, vals, scale = near
+    threshold = tol * scale
+    return KernelBasis(modes[:, vals <= threshold].T.reshape(-1, g.n, d), threshold)
 
 
 def _at_most_d_kernel_modes(g: ConnectionGraph, root, tol):
@@ -173,8 +180,9 @@ ARPACK_MIN_NCV = 20
 
 
 def _lowest_modes(g: ConnectionGraph, ratio, num_modes=None):
-    """Orthonormal lowest eigenvectors of L as columns, shape (n d, k), and
-    the threshold ``ratio * max(lambda_max, 1)``.
+    """Orthonormal lowest eigenvectors of L as columns, shape (n d, k), their
+    eigenvalues, and the scale ``max(lambda_max, 1)`` of the threshold
+    ``ratio * max(lambda_max, 1)``.
 
     ``k`` is ``num_modes``, or the number of eigenvalues at or below the
     threshold.  Shift-invert ``eigsh`` returns them, its ``k`` doubling
@@ -195,15 +203,16 @@ def _lowest_modes(g: ConnectionGraph, ratio, num_modes=None):
             threshold = ratio * scale
         vals, vecs = eigsh(lap, k, sigma=MODE_SHIFT * scale, v0=v0)
         if num_modes:
-            return vecs, threshold
+            return vecs, vals, scale
         if vals.max() > threshold:
-            return vecs[:, vals <= threshold], threshold
+            keep = vals <= threshold
+            return vecs[:, keep], vals[keep], scale
         k *= 2
     eigs, vecs = np.linalg.eigh(lap.toarray())
-    threshold = ratio * max(float(eigs[-1]), 1.0)
+    scale = max(float(eigs[-1]), 1.0)
     if num_modes is None:
-        num_modes = int(np.count_nonzero(eigs <= threshold))
-    return vecs[:, :num_modes], threshold
+        num_modes = int(np.count_nonzero(eigs <= ratio * scale))
+    return vecs[:, :num_modes], eigs[:num_modes], scale
 
 
 def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None):
@@ -217,7 +226,9 @@ def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None):
     one (n, d) field or a (k, n, d) stack; a stack is projected against a
     single set of modes and returned with the same shape.  The modes come
     from a sparse eigensolve (see :func:`_lowest_modes`), so no dense
-    L is formed above the smallest graphs.
+    L is formed above the smallest graphs; the default modes are solved
+    once per graph and cached as ``g.near_kernel_modes``, where
+    :func:`kernel_structured` finds the kernel without a second solve.
     """
     g.require_valid()
     field = np.asarray(field, dtype=float)
@@ -226,7 +237,10 @@ def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None):
     if num_modes == 0:
         return field.copy()
     ref = 0.0 if anchor is None else np.asarray(anchor, dtype=float).reshape(-1)
-    modes, _ = _lowest_modes(g, NEAR_KERNEL_RATIO, num_modes)
+    if num_modes is None:
+        modes = g.near_kernel_modes[0]
+    else:
+        modes = _lowest_modes(g, NEAR_KERNEL_RATIO, num_modes)[0]
     out = rows - ((rows - ref) @ modes) @ modes.T
     return out.reshape(-1, g.n, g.d) if stacked else out.reshape(g.n, g.d)
 

@@ -334,6 +334,16 @@ class ConnectionGraph:
 
         return feasibility.kernel_structured(self)
 
+    @cached_property
+    def near_kernel_modes(self):
+        """The modes :func:`conbeck.feasibility.project_feasible` removes by
+        default, computed once: ``(vectors, eigenvalues, max(lambda_max, 1))``
+        of L up to ``NEAR_KERNEL_RATIO * max(lambda_max, 1)``.  Not pickled.
+        """
+        from . import feasibility  # local import to avoid a cycle
+
+        return feasibility._lowest_modes(self, feasibility.NEAR_KERNEL_RATIO)
+
     # -- pickling -----------------------------------------------------------
 
     def __getstate__(self):

@@ -2,6 +2,8 @@
 
 JSON documents use plain ``repr`` floats (Python's shortest round-trip
 representation), so a save/load cycle reproduces every array bit for bit.
+Graphs, fields, flows, frames, switching functions and kernel bases are
+written row by row in the text ``json.dump(obj, fh, indent=2)`` gives.
 Schema problems raise :class:`~conbeck.errors.FormatError`; semantic graph
 problems surface as :class:`~conbeck.errors.InvalidGraphError` when
 ``validate=True``.
@@ -73,6 +75,66 @@ def _dump_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+#: Rows of a table that :func:`_dump_table` formats and writes at a time.
+_CHUNK_ROWS = 2048
+
+
+def _layout(spec, depth):
+    """Indent-2 JSON text, at nesting ``depth``, with ``%s`` for each number.
+
+    ``spec`` is ``()`` for a number, a shape for a nested list of numbers,
+    or a dict for an object whose values it lays out in turn.
+    """
+    if isinstance(spec, dict):
+        items = [f"{json.dumps(key)}: {_layout(value, depth + 1)}" for key, value in spec.items()]
+        brackets = "{}"
+    elif spec:
+        items = [_layout(spec[1:], depth + 1)] * spec[0]
+        brackets = "[]"
+    else:
+        return "%s"
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _json_cells(block):
+    """A 2-D block as an object array of Python numbers; non-finite floats
+    are spelled as ``json`` spells them (``NaN``, ``Infinity``)."""
+    cells = block.astype(object)
+    if block.dtype.kind == "f":
+        bad = ~np.isfinite(block)
+        cells[bad] = [json.dumps(x) for x in block[bad].tolist()]
+    return cells
+
+
+def _dump_table(path, header, key, row, columns):
+    """Write ``{**header, key: [row, ...]}`` in the text that
+    ``json.dump(obj, fh, indent=2)`` and a newline give, ``_CHUNK_ROWS``
+    rows at a time.
+
+    ``header`` maps keys to ints.  Row r is laid out by the :func:`_layout`
+    spec ``row`` from the r-th rows of the 2-D arrays ``columns``, taken
+    left to right.
+    """
+    rows = len(columns[0])
+    head = "".join(f"\n  {json.dumps(k)}: {int(v)}," for k, v in header.items())
+    item = "    " + _layout(row, 2)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{{{head}\n  {json.dumps(key)}: ")
+        if not rows:
+            fh.write("[]\n}\n")
+            return
+        sep = "[\n"
+        for start in range(0, rows, _CHUNK_ROWS):
+            block = [_json_cells(col[start : start + _CHUNK_ROWS]) for col in columns]
+            cells = np.concatenate(block, axis=1)
+            fh.write(sep + ",\n".join([item] * len(cells)) % tuple(cells.ravel().tolist()))
+            sep = ",\n"
+        fh.write("\n  ]\n}\n")
 
 
 def _get(obj, key, where):
@@ -176,7 +238,9 @@ def load_graph(path, validate=True):
 
 
 def save_graph(path, g):
-    _dump_json(path, graph_to_dict(g))
+    row = {"i": (), "j": (), "w": (), "sigma": (g.d * g.d,)}
+    columns = [g.edge_index, g.weights[:, None], g.sigmas.reshape(g.m, g.d * g.d)]
+    _dump_table(path, {"n": g.n, "d": g.d}, "edges", row, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +266,9 @@ def load_field(path):
 
 
 def save_field(path, field):
-    _dump_json(path, field_to_dict(field))
+    field = np.asarray(field, dtype=float)
+    n, d = field.shape
+    _dump_table(path, {"n": n, "d": d}, "values", (d,), [field])
 
 
 def flow_to_dict(flow):
@@ -223,7 +289,9 @@ def load_flow(path):
 
 
 def save_flow(path, flow):
-    _dump_json(path, flow_to_dict(flow))
+    flow = np.asarray(flow, dtype=float)
+    m, d = flow.shape
+    _dump_table(path, {"m": m, "d": d}, "values", (d,), [flow])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +321,9 @@ def load_frames(path):
 
 
 def save_frames(path, frames):
-    _dump_json(path, frames_to_dict(frames))
+    frames = np.asarray(frames, dtype=float)
+    n, p, d = frames.shape
+    _dump_table(path, {"n": n, "p": p, "d": d}, "frames", (p, d), [frames.reshape(n, p * d)])
 
 
 def tau_to_dict(tau):
@@ -275,7 +345,9 @@ def load_tau(path):
 
 
 def save_tau(path, tau):
-    _dump_json(path, tau_to_dict(tau))
+    tau = np.asarray(tau, dtype=float)
+    n, d, _ = tau.shape
+    _dump_table(path, {"n": n, "d": d}, "tau", (d, d), [tau.reshape(n, d * d)])
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +408,9 @@ def save_report(path, report):
 
 def save_kernel(path, basis):
     """Write a kernel basis: ``n``, ``d``, ``dimension`` and the (k, n, d) ``vectors``."""
-    _, n, d = basis.vectors.shape
-    vectors = basis.vectors.tolist()
-    _dump_json(path, {"n": n, "d": d, "dimension": basis.dimension, "vectors": vectors})
+    k, n, d = basis.vectors.shape
+    header = {"n": n, "d": d, "dimension": basis.dimension}
+    _dump_table(path, header, "vectors", (n, d), [basis.vectors.reshape(k, n * d)])
 
 
 # ---------------------------------------------------------------------------

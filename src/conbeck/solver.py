@@ -19,6 +19,14 @@ with ``g = B^T phi``.  The sign is pinned by the requirement
 exactly the constraint residual ``c - B J(phi)``, so the stopping
 gradient norm doubles as a feasibility certificate for the reported flow.
 
+Each epoch runs component-major: ``B^T phi`` comes out as a (d, m) array
+whose row ``a`` holds component ``a`` of every edge, because the rows of
+``B^T`` and the columns of ``B`` are reordered once per solve.  The edge
+norms are then sums of d contiguous rows, and the shrink factor, the flow
+and the residual are formed in buffers allocated before the first epoch.
+Every sum keeps its terms and their order, so the iterates are those of
+the edge-major formulas bit for bit.
+
 An independent primal-route oracle (:func:`oracle_solve`) minimizes a
 smoothed primal on the affine feasible set, and :func:`wasserstein_lp`
 gives the exact linear-programming value for d = 1.
@@ -31,6 +39,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .feasibility import require_feasible
@@ -104,12 +113,53 @@ def _edge_norms(flow):
     return np.linalg.norm(flow, axis=1)
 
 
-def _coef(norms, w, lam):
+def _coef(norms, w, lam, out=None):
     """Shrink factor of the closed-form flow, ``(|g_e| - w_e) / (lam |g_e|)``
-    on active edges (``|g_e| > w_e``) and exactly zero elsewhere."""
-    active = norms > w
-    safe = np.where(active, norms, 1.0)
-    return np.where(active, (norms - w) / (lam * safe), 0.0)
+    on active edges (``|g_e| > w_e``) and exactly zero elsewhere.
+
+    Consumes ``norms`` (it is overwritten) and writes into ``out`` when
+    given.  A zero norm divides by zero to ``-inf``, which the clip at
+    zero removes; callers silence that warning.
+    """
+    out = np.multiply(norms, lam, out=out)
+    norms -= w
+    np.divide(norms, out, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _component_major(g):
+    """``(B^T, B)`` for component-major edge vectors.
+
+    Entry ``a m + e`` of such a vector is component ``a`` of edge ``e``,
+    which is entry ``e d + a`` of the edge-major vectors of
+    :attr:`ConnectionGraph.incidence_matrix`.  The rows of ``B^T`` are
+    permuted and the columns of ``B`` relabelled, each keeping its storage
+    order, so every product sums the same terms in the same order.
+    """
+    m, d = g.m, g.d
+    order = (np.arange(m) * d + np.arange(d)[:, None]).ravel()
+    relabel = np.empty_like(order)
+    relabel[order] = np.arange(m * d)
+    bmat = g.incidence_matrix
+    relabelled = sp.csr_matrix((bmat.data, relabel[bmat.indices], bmat.indptr), shape=bmat.shape)
+    return g.incidence_matrix_T[order], relabelled
+
+
+def _component_norms(gvals, out, scratch):
+    """Edge norms of a component-major (d, m) array, written into ``out``.
+
+    The squares are summed left to right, the order NumPy's pairwise sum
+    takes for fewer than eight terms, so the norms equal
+    :func:`_edge_norms` of the edge-major array bit for bit; from eight
+    components on, they are that function's.
+    """
+    if gvals.shape[0] >= 8:
+        out[:] = _edge_norms(np.ascontiguousarray(gvals.T))
+        return out
+    np.multiply(gvals[0], gvals[0], out=out)
+    for row in gvals[1:]:
+        out += np.multiply(row, row, out=scratch)
+    return np.sqrt(out, out=out)
 
 
 def dual_objective(g: ConnectionGraph, phi, c, lam):
@@ -127,7 +177,9 @@ def recover_primal(g: ConnectionGraph, phi, lam):
     """Closed-form flow from a dual variable; exactly zero on inactive edges."""
     lam = _resolve_lam(g, lam)
     gvals = apply_BT(g, phi)
-    return _coef(_edge_norms(gvals), g.weights, lam)[:, None] * gvals
+    with np.errstate(divide="ignore"):
+        coef = _coef(_edge_norms(gvals), g.weights, lam)
+    return coef[:, None] * gvals
 
 
 def dual_gradient(g: ConnectionGraph, phi, c, lam):
@@ -185,22 +237,28 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
     if grad_tol is None:
         grad_tol = 1e-8 * (1.0 + float(np.linalg.norm(c_vec)))
 
-    bmat = g.incidence_matrix
-    bmat_t = g.incidence_matrix_T
+    bmat_t, bmat = _component_major(g)
     w = g.weights
     m, d = g.m, g.d
     lr = float(opts.learning_rate)
-    phi = np.zeros(g.n * g.d)
+    phi = np.zeros(g.n * d)
+    grad = np.empty_like(phi)
+    step = np.empty_like(phi)
+    norms = np.empty(m)
+    coef = np.empty(m)
+    flow = np.empty((d, m))
 
     epochs_used = 0
     converged = False
     # a diverging ascent overflows on its way to the non-finite residual
-    # that the loop reports, so overflow warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # that the loop reports, so overflow warnings would only repeat it;
+    # _coef divides by the zero norms of edges it then clips to zero
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            gvals = (bmat_t @ phi).reshape(m, d)
-            flow = _coef(_edge_norms(gvals), w, lam)[:, None] * gvals
-            grad = c_vec - bmat @ flow.reshape(-1)
+            gvals = (bmat_t @ phi).reshape(d, m)
+            _coef(_component_norms(gvals, norms, scratch=coef), w, lam, out=coef)
+            np.multiply(gvals, coef, out=flow)
+            np.subtract(c_vec, bmat @ flow.reshape(-1), out=grad)
             grad_norm = float(np.linalg.norm(grad))
             if not math.isfinite(grad_norm):
                 raise NonConvergenceError(
@@ -213,9 +271,10 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
                 break
             if epochs_used >= opts.max_epochs:
                 break
-            phi += lr * grad
+            phi += np.multiply(grad, lr, out=step)
             epochs_used += 1
 
+    flow = np.ascontiguousarray(flow.T)
     phi_field = phi.reshape(g.n, g.d)
     cost = primal_cost(g, flow, lam)
     dual = dual_objective(g, phi_field, c, lam)

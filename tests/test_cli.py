@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import subprocess
 import sys
 
@@ -9,13 +10,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conbeck import io
+from conbeck import feasibility, io
 from conbeck.cli import main
-from conbeck.feasibility import kernel_numeric
+from conbeck.feasibility import kernel_numeric, project_feasible
 from conbeck.graph import ConnectionGraph
 from conbeck.manifold import epsilon_graph, sample_sphere_patch, tangent_frames
 from conbeck.solver import SolveOptions, solve_regularized, stable_learning_rate
-from conbeck.toolkit import pseudo_dirac
+from conbeck.toolkit import distance_matrix, pseudo_dirac
 
 from conftest import (
     curved_sphere_patch,
@@ -418,6 +419,47 @@ def test_kernel_commands_run_without_dense_eigensolver(tmp_path, capsys, monkeyp
     assert main(args) == 0
     capsys.readouterr()
     assert np.isfinite(io.load_matrix(out)).all()
+
+
+def test_distmat_project_kernel_solves_for_the_modes_once(tmp_path, capsys, monkeypatch):
+    # the kernel comes from the near-kernel solve the projection ran: one
+    # lambda_max and one shift-invert eigsh, where two of each ran before
+    calls = []
+    real = feasibility.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append("shift-invert" if "sigma" in kwargs else kwargs["which"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility, "eigsh", counting)
+    rng = np.random.default_rng(38)
+    curved = curved_sphere_patch()
+    gp, fields_dir = tmp_path / "curved.json", tmp_path / "fields"
+    io.save_graph(gp, curved)
+    fields_dir.mkdir()
+    fields = rng.standard_normal((3, curved.n, 2))
+    for k, field in enumerate(fields):
+        io.save_field(fields_dir / f"f{k}.json", field)
+    opts = SolveOptions(
+        lam=curved.w_max, learning_rate=stable_learning_rate(curved, curved.w_max), grad_tol=0.1
+    )
+    out = tmp_path / "D.csv"
+    args = ["distmat", str(gp), str(fields_dir), "--lambda", repr(opts.lam), "--project-kernel"]
+    args += ["--lr", repr(opts.learning_rate), "--grad-tol", "0.1", "-o", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert calls == ["LA", "shift-invert"]
+    # D as with the kernel solved on its own, before the projection
+    g = io.load_graph(gp)
+    assert g.kernel.dimension == 0
+    expected = distance_matrix(g, project_feasible(g, fields), opts)
+    assert calls[2:] == ["LA", "shift-invert", "LA", "shift-invert"]
+    assert np.array_equal(io.load_matrix(out), expected)
+    # an explicit mode count neither fills the cache nor uses it
+    h = io.load_graph(gp)
+    project_feasible(h, fields, num_modes=3)
+    assert "near_kernel_modes" not in vars(h)
+    assert "near_kernel_modes" not in vars(pickle.loads(pickle.dumps(g)))
 
 
 def test_check_and_feasible_near_flat_patch_keep_the_dense_verdict(tmp_path, capsys):

@@ -7,10 +7,16 @@ import json
 import numpy as np
 import pytest
 
+from conbeck import io as io_module
 from conbeck.errors import FormatError, InvalidGraphError
+from conbeck.feasibility import KernelBasis
 from conbeck.graph import ConnectionGraph, random_orthogonal
 from conbeck.io import (
+    field_to_dict,
+    flow_to_dict,
+    frames_to_dict,
     graph_from_dict,
+    graph_to_dict,
     load_field,
     load_flow,
     load_frames,
@@ -25,11 +31,13 @@ from conbeck.io import (
     save_flow,
     save_frames,
     save_graph,
+    save_kernel,
     save_labels,
     save_matrix,
     save_points,
     save_tau,
     save_trajectory,
+    tau_to_dict,
 )
 from conbeck.solver import SolveOptions, solve_regularized
 
@@ -106,6 +114,45 @@ GRAPH_TEXT = """{
   ]
 }
 """
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e16, float("nan"), float("inf"), -float("inf"), 1e-5, 0.1]
+
+
+def _messy(rng, shape):
+    """Floats over 80 decades, with the specials above mixed in."""
+    values = rng.standard_normal(shape) * np.exp(rng.uniform(-90, 90, shape))
+    flat = values.reshape(-1)
+    k = min(flat.size, len(SPECIAL_FLOATS))
+    flat[rng.choice(flat.size, k, replace=False)] = SPECIAL_FLOATS[:k]
+    return values
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 2048])
+def test_table_writers_match_json_dump(tmp_path, monkeypatch, chunk_rows):
+    # the row-wise writers give the text of json.dump(indent=2) of each
+    # document's dict byte for byte, across chunk boundaries and for empty tables
+    monkeypatch.setattr(io_module, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(79)
+    path = tmp_path / "t.json"
+
+    def assert_text(save, value, obj):
+        save(path, value)
+        assert path.read_text() == json.dumps(obj, indent=2) + "\n"
+
+    for n, m, d in [(1, 0, 2), (5, 7, 1), (4, 9, 2), (9, 3, 3)]:
+        edge_index = np.sort(rng.integers(0, 10 * n, (m, 2)), axis=1)
+        g = ConnectionGraph(10 * n, d, edge_index, _messy(rng, m), _messy(rng, (m, d, d)))
+        assert_text(save_graph, g, graph_to_dict(g))
+        field, flow = _messy(rng, (n, d)), _messy(rng, (m, d))
+        assert_text(save_field, field, field_to_dict(field))
+        assert_text(save_flow, flow, flow_to_dict(flow))
+        frames, tau = _messy(rng, (n, d + 1, d)), _messy(rng, (n, d, d))
+        assert_text(save_frames, frames, frames_to_dict(frames))
+        assert_text(save_tau, tau, tau_to_dict(tau))
+        vectors = _messy(rng, (m % 3, n, d))
+        kernel = {"n": n, "d": d, "dimension": m % 3, "vectors": vectors.tolist()}
+        assert_text(save_kernel, KernelBasis(vectors, 1e-8), kernel)
 
 
 def test_graph_load_reprojects_noisy_sigma(tmp_path):

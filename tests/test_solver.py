@@ -14,6 +14,8 @@ Hand oracles frozen here:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,80 @@ def test_solve_switching_invariance():
         n2 = np.linalg.norm(f2, axis=1)
         assert np.abs(n1 - n2).max() <= 1e-6
         assert abs(r1.primal_cost - r2.primal_cost) <= 1e-5
+
+
+def edge_major_ascent(g, alpha, beta, opts):
+    """The edge-major fixed-step loop that :func:`solve_regularized` ran
+    before its component-major rewrite: ``(flow, phi, epochs, status)``,
+    with status ``"converged"``, ``"cut"`` or ``"diverged"``."""
+    lam = g.w_max if opts.lam is None else opts.lam
+    c_vec = (np.asarray(alpha, dtype=float) - np.asarray(beta, dtype=float)).reshape(-1)
+    grad_tol = opts.grad_tol
+    if grad_tol is None:
+        grad_tol = 1e-8 * (1.0 + float(np.linalg.norm(c_vec)))
+    bmat, bmat_t, w = g.incidence_matrix, g.incidence_matrix_T, g.weights
+    phi = np.zeros(g.n * g.d)
+    epochs = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            gvals = (bmat_t @ phi).reshape(g.m, g.d)
+            norms = np.linalg.norm(gvals, axis=1)
+            active = norms > w
+            coef = np.where(active, (norms - w) / (lam * np.where(active, norms, 1.0)), 0.0)
+            flow = coef[:, None] * gvals
+            grad = c_vec - bmat @ flow.reshape(-1)
+            grad_norm = float(np.linalg.norm(grad))
+            if not math.isfinite(grad_norm):
+                return flow, phi, epochs, "diverged"
+            if grad_norm <= grad_tol:
+                return flow, phi, epochs, "converged"
+            if epochs >= opts.max_epochs:
+                return flow, phi, epochs, "cut"
+            phi += opts.learning_rate * grad
+            epochs += 1
+
+
+def assert_same_iterates(g, alpha, beta, opts):
+    flow, phi, report = solve_regularized(g, alpha, beta, opts)
+    ref_flow, ref_phi, ref_epochs, status = edge_major_ascent(g, alpha, beta, opts)
+    assert status != "diverged"
+    assert report.converged == (status == "converged")
+    assert report.epochs_used == ref_epochs
+    assert np.array_equal(flow, ref_flow) and np.array_equal(phi.reshape(-1), ref_phi)
+    # the same signed zeros, so the saved flow is the same text
+    assert np.array_equal(np.signbit(flow), np.signbit(ref_flow))
+    return report
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_solve_iterates_equal_edge_major_loop(d):
+    # d = 8 takes the edge-major norm inside the component-major loop
+    rng = np.random.default_rng(100 + d)
+    converged = 0
+    for _ in range(4):
+        g = random_connected_graph(rng, n=int(rng.integers(6, 14)), d=d, extra_edges=6)
+        alpha = apply_B(g, rng.standard_normal((g.m, d)))  # in the range of B: feasible
+        beta = np.zeros((g.n, d))
+        lam = float(rng.uniform(0.2, 2.0))
+        opts = SolveOptions(lam=lam, learning_rate=stable_learning_rate(g, lam), max_epochs=4000)
+        converged += assert_same_iterates(g, alpha, beta, opts).converged
+    assert converged  # the stop test is exercised, not only the cut-off
+
+
+def test_solve_iterates_equal_edge_major_loop_at_cutoff(diamond_problem):
+    g, alpha, beta, _ = diamond_problem
+    for epochs in (0, 1, 7):
+        report = assert_same_iterates(g, alpha, beta, SolveOptions(lam=1.0, max_epochs=epochs))
+        assert not report.converged and report.epochs_used == epochs
+
+
+def test_solve_diverges_at_edge_major_loop_epoch(diamond_problem):
+    g, alpha, beta, _ = diamond_problem
+    opts = SolveOptions(lam=1.0, learning_rate=50 * stable_learning_rate(g, 1.0), max_epochs=20000)
+    _, _, epochs, status = edge_major_ascent(g, alpha, beta, opts)
+    assert status == "diverged"
+    with pytest.raises(NonConvergenceError, match=f"diverged at epoch {epochs}:"):
+        solve_regularized(g, alpha, beta, opts)
 
 
 # ------------------------------------------------- unregularized dual checks
