@@ -57,7 +57,6 @@ from .solver import (
     SolveOptions,
     SolveReport,
     dual_objective,
-    oracle_solve,
     recover_primal,
     solve_regularized,
     stable_learning_rate,
@@ -107,7 +106,6 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "dual_objective",
-    "oracle_solve",
     "recover_primal",
     "solve_regularized",
     "stable_learning_rate",

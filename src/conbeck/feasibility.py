@@ -5,10 +5,12 @@ the difference alpha - beta is orthogonal to ker(L) = ker(B^T).  On a
 connected graph ker(L) is the space of parallel sections: the fixed space
 of the fundamental cycle products, expanded along spanning-tree paths.
 That structured route is the one :attr:`ConnectionGraph.kernel` uses when
-the connection is flat within the tolerance; otherwise the kernel, like
-the near-kernel modes of :func:`project_feasible`, comes from a sparse
-shift-invert eigensolve of L.  The numeric route, a dense eigensolve of
-L, is kept as an independent reference.
+the connection is flat within the tolerance; otherwise the kernel is the
+bottom of the near-kernel modes that :func:`project_feasible` removes.
+Those modes come from one sparse shift-invert eigensolve of L per graph,
+cached as ``g.near_kernel_modes``, so the kernel is the same whichever of
+the two runs first.  The numeric route, a dense eigensolve of L, is kept
+as an independent reference.
 """
 
 from __future__ import annotations
@@ -79,40 +81,43 @@ def kernel_numeric(g: ConnectionGraph, tol=1e-8):
     return KernelBasis(vecs.T.reshape(k, g.n, g.d), threshold)
 
 
-def kernel_structured(g: ConnectionGraph, root=0, tol=1e-8):
+#: Eigenvalues of L at or below this fraction of ``max(lambda_max, 1)`` count
+#: as kernel; the parallel sections must have a residual ``|B^T f|`` at or below it.
+KERNEL_TOL = 1e-8
+
+#: Root of the BFS tree along which :func:`kernel_structured` expands the parallel sections.
+KERNEL_ROOT = 0
+
+
+def kernel_structured(g: ConnectionGraph):
     """Kernel basis from parallel sections, with the dense rule's count.
 
     The d fields ``f_k(i) = sigma_{P_{i,root}} e_k / sqrt(n)``, expanded
     along BFS tree paths, are orthonormal, and ``B^T`` maps them to the
     weighted defects of the fundamental cycle products seen from the root.
-    When every unit combination has ``|B^T f| <= tol`` (the 2-norm of the
-    (m d) x d residual) and :func:`_at_most_d_kernel_modes` rules out any
-    other mode at or below ``tol * max(lambda_max, 1)``, they are the basis:
-    O(m d^2) time and memory.  Otherwise the basis is the eigenvectors of L
-    with eigenvalue at or below that threshold, from the sparse solver of
-    :func:`project_feasible` (from its cached solve when it has run on
-    ``g``); this is the count rule of
-    :func:`kernel_numeric`, with no dense L above the smallest graphs.
-    :attr:`ConnectionGraph.kernel` caches the result for the defaults.
+    When every unit combination has ``|B^T f| <= KERNEL_TOL`` (the 2-norm
+    of the (m d) x d residual) and :func:`_at_most_d_kernel_modes` rules
+    out any other mode at or below ``KERNEL_TOL * max(lambda_max, 1)``,
+    they are the basis: O(m d^2) time and memory.  Otherwise the basis is
+    the near-kernel modes of ``g.near_kernel_modes``, the one sparse solve
+    :func:`project_feasible` also reads, with eigenvalue at or below that
+    threshold; this is the count rule of :func:`kernel_numeric`, with no
+    dense L above the smallest graphs, and the same basis in any call order.
+    :attr:`ConnectionGraph.kernel` caches the result.
     """
     g.require_valid()
     d = g.d
-    fields = np.moveaxis(tree_products(g, root), 2, 0) / np.sqrt(g.n)
+    fields = np.moveaxis(tree_products(g, KERNEL_ROOT), 2, 0) / np.sqrt(g.n)
     resid = g.incidence_matrix_T @ fields.reshape(d, g.n * d).T
-    if (not g.m or np.linalg.norm(resid, 2) <= tol) and _at_most_d_kernel_modes(g, root, tol):
-        return KernelBasis(fields, tol)
-    # the near-kernel modes, once solved, hold the kernel: the two solves
-    # share their start vector, so lambda_max and the scale are the same
-    near = vars(g).get("near_kernel_modes")
-    if near is None or tol > NEAR_KERNEL_RATIO:
-        near = _lowest_modes(g, tol)
-    modes, vals, scale = near
-    threshold = tol * scale
+    if (not g.m or np.linalg.norm(resid, 2) <= KERNEL_TOL) and _at_most_d_kernel_modes(g):
+        return KernelBasis(fields, KERNEL_TOL)
+    modes, vals, scale = g.near_kernel_modes
+    threshold = KERNEL_TOL * scale
     return KernelBasis(modes[:, vals <= threshold].T.reshape(-1, g.n, d), threshold)
 
 
-def _at_most_d_kernel_modes(g: ConnectionGraph, root, tol):
-    """Whether L provably has at most d eigenvalues at or below ``tol * max(lambda_max, 1)``.
+def _at_most_d_kernel_modes(g: ConnectionGraph):
+    """Whether L provably has at most d eigenvalues at or below ``KERNEL_TOL * max(lambda_max, 1)``.
 
     Switched to the BFS tree's frame, a unit field f with ``f^T L f <=
     theta`` keeps every f(i) within ``sqrt(D theta / w_min)`` of f(root),
@@ -124,9 +129,9 @@ def _at_most_d_kernel_modes(g: ConnectionGraph, root, tol):
     under the threshold.
     """
     depth = csgraph.shortest_path(
-        _adjacency(g.n, g.edge_index), unweighted=True, indices=root
+        _adjacency(g.n, g.edge_index), unweighted=True, indices=KERNEL_ROOT
     ).max()
-    theta = tol * max(2.0 * g.weighted_degrees.max(), 1.0)
+    theta = KERNEL_TOL * max(2.0 * g.weighted_degrees.max(), 1.0)
     return depth == 0 or g.n * depth * theta < g.weights.min()
 
 
@@ -179,70 +184,57 @@ MODE_SHIFT = -1e-6
 ARPACK_MIN_NCV = 20
 
 
-def _lowest_modes(g: ConnectionGraph, ratio, num_modes=None):
-    """Orthonormal lowest eigenvectors of L as columns, shape (n d, k), their
-    eigenvalues, and the scale ``max(lambda_max, 1)`` of the threshold
-    ``ratio * max(lambda_max, 1)``.
+def _lowest_modes(g: ConnectionGraph):
+    """Orthonormal eigenvectors of L with eigenvalue at or below
+    ``NEAR_KERNEL_RATIO * max(lambda_max, 1)`` as columns, shape (n d, k),
+    their eigenvalues, and the scale ``max(lambda_max, 1)``.
 
-    ``k`` is ``num_modes``, or the number of eigenvalues at or below the
-    threshold.  Shift-invert ``eigsh`` returns them, its ``k`` doubling
-    until the largest returned eigenvalue passes the threshold.  A dense
-    ``eigh`` of L serves only where the Lanczos basis of ``k`` modes would
-    not be smaller than L (see ``ARPACK_MIN_NCV``).  Every ``eigsh`` call
-    starts from the same vector, so the modes are reproducible bit for bit.
+    Shift-invert ``eigsh`` returns them, its ``k`` doubling until the
+    largest returned eigenvalue passes the threshold.  A dense ``eigh`` of
+    L serves only where the Lanczos basis of ``k`` modes would not be
+    smaller than L (see ``ARPACK_MIN_NCV``).  Every ``eigsh`` call starts
+    from the same vector, so the modes are reproducible bit for bit.
+    Reached only through :attr:`ConnectionGraph.near_kernel_modes`.
     """
     lap = g.laplacian_matrix
     size = lap.shape[0]
-    k = num_modes or 2 * g.d + 2
+    k = 2 * g.d + 2
     threshold = None
     while size > max(2 * k + 1, ARPACK_MIN_NCV):
         if threshold is None:
             v0 = np.random.default_rng(0).standard_normal(size)
             lam_max = eigsh(lap, 1, which="LA", v0=v0, return_eigenvectors=False)[0]
             scale = max(float(lam_max), 1.0)
-            threshold = ratio * scale
+            threshold = NEAR_KERNEL_RATIO * scale
         vals, vecs = eigsh(lap, k, sigma=MODE_SHIFT * scale, v0=v0)
-        if num_modes:
-            return vecs, vals, scale
         if vals.max() > threshold:
             keep = vals <= threshold
             return vecs[:, keep], vals[keep], scale
         k *= 2
     eigs, vecs = np.linalg.eigh(lap.toarray())
     scale = max(float(eigs[-1]), 1.0)
-    if num_modes is None:
-        num_modes = int(np.count_nonzero(eigs <= ratio * scale))
-    return vecs[:, :num_modes], eigs[:num_modes], scale
+    count = int(np.count_nonzero(eigs <= NEAR_KERNEL_RATIO * scale))
+    return vecs[:, :count], eigs[:count], scale
 
 
-def project_feasible(g: ConnectionGraph, field, anchor=None, num_modes=None):
+def project_feasible(g: ConnectionGraph, field):
     """Remove near-kernel components from a field, or from a stack of them.
 
-    Modes are the eigenvectors of L with eigenvalue at most
-    ``NEAR_KERNEL_RATIO * max(lambda_max, 1)`` (or exactly ``num_modes``
-    lowest modes when given).  With an ``anchor``, the anchor's components
-    along those modes are kept, so the result is feasible against the likewise
-    projected anchor; the default anchor is the zero field.  ``field`` is
-    one (n, d) field or a (k, n, d) stack; a stack is projected against a
-    single set of modes and returned with the same shape.  The modes come
-    from a sparse eigensolve (see :func:`_lowest_modes`), so no dense
-    L is formed above the smallest graphs; the default modes are solved
-    once per graph and cached as ``g.near_kernel_modes``, where
-    :func:`kernel_structured` finds the kernel without a second solve.
+    The modes are the eigenvectors of L with eigenvalue at most
+    ``NEAR_KERNEL_RATIO * max(lambda_max, 1)``, so the result is feasible
+    against any likewise projected field.  ``field`` is one (n, d) field or
+    a (k, n, d) stack; a stack is projected against a single set of modes
+    and returned with the same shape.  The modes are
+    ``g.near_kernel_modes``, one sparse eigensolve per graph (see
+    :func:`_lowest_modes`) that :func:`kernel_structured` also reads, so no
+    dense L is formed above the smallest graphs.
     """
     g.require_valid()
     field = np.asarray(field, dtype=float)
-    stacked = field.ndim == 3
     rows = field.reshape(-1, g.n * g.d)
-    if num_modes == 0:
-        return field.copy()
-    ref = 0.0 if anchor is None else np.asarray(anchor, dtype=float).reshape(-1)
-    if num_modes is None:
-        modes = g.near_kernel_modes[0]
-    else:
-        modes = _lowest_modes(g, NEAR_KERNEL_RATIO, num_modes)[0]
-    out = rows - ((rows - ref) @ modes) @ modes.T
-    return out.reshape(-1, g.n, g.d) if stacked else out.reshape(g.n, g.d)
+    modes = g.near_kernel_modes[0]
+    out = rows - (rows @ modes) @ modes.T
+    return out.reshape(-1, g.n, g.d) if field.ndim == 3 else out.reshape(g.n, g.d)
 
 
 def feasibility_switching(g: ConnectionGraph, root=0):

@@ -39,7 +39,6 @@ __all__ = [
     "bfs_tree",
     "tree_products",
     "polar_project",
-    "random_orthogonal",
 ]
 
 #: Max-norm tolerance for accepting a sigma as orthogonal at load time.
@@ -115,12 +114,6 @@ def _index_oriented(edge_index, sigmas):
     edge_index = np.where(rev[:, None], edge_index[:, ::-1], edge_index)
     sigmas = np.where(rev[:, None, None], np.swapaxes(sigmas, 1, 2), sigmas)
     return edge_index, sigmas
-
-
-def random_orthogonal(d, rng):
-    """Haar-ish random orthogonal d x d matrix (QR with sign fix)."""
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
 
 
 #: Attributes a pickled ConnectionGraph carries (see ``__getstate__``).
@@ -325,8 +318,8 @@ class ConnectionGraph:
         """Kernel basis of ``L`` at the default tolerance, computed once.
 
         The parallel sections along the BFS tree when the connection is
-        flat within the tolerance, O(m d^2), else the eigenvectors of L
-        under the dense rule's threshold from a sparse eigensolve; see
+        flat within the tolerance, O(m d^2), else the modes of
+        :attr:`near_kernel_modes` under the dense rule's threshold; see
         :func:`conbeck.feasibility.kernel_structured`.  Feasibility tests,
         solves and distance matrices on this graph all share this basis.
         """
@@ -336,13 +329,16 @@ class ConnectionGraph:
 
     @cached_property
     def near_kernel_modes(self):
-        """The modes :func:`conbeck.feasibility.project_feasible` removes by
-        default, computed once: ``(vectors, eigenvalues, max(lambda_max, 1))``
-        of L up to ``NEAR_KERNEL_RATIO * max(lambda_max, 1)``.  Not pickled.
+        """The lowest modes of L, from the graph's only spectral solve:
+        ``(vectors, eigenvalues, max(lambda_max, 1))`` up to
+        ``NEAR_KERNEL_RATIO * max(lambda_max, 1)``, computed once.
+        :func:`conbeck.feasibility.project_feasible` removes them, and
+        :attr:`kernel` keeps those under its threshold when the parallel
+        sections fail.  Not pickled.
         """
         from . import feasibility  # local import to avoid a cycle
 
-        return feasibility._lowest_modes(self, feasibility.NEAR_KERNEL_RATIO)
+        return feasibility._lowest_modes(self)
 
     # -- pickling -----------------------------------------------------------
 

@@ -27,14 +27,11 @@ and the residual are formed in buffers allocated before the first epoch.
 Every sum keeps its terms and their order, so the iterates are those of
 the edge-major formulas bit for bit.
 
-An independent primal-route oracle (:func:`oracle_solve`) minimizes a
-smoothed primal on the affine feasible set, and :func:`wasserstein_lp`
-gives the exact linear-programming value for d = 1.
+:func:`wasserstein_lp` gives the exact linear-programming value for d = 1.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import asdict, dataclass
 
@@ -56,7 +53,6 @@ __all__ = [
     "solve_regularized",
     "dual_feasible_unregularized",
     "unregularized_dual_value",
-    "oracle_solve",
     "wasserstein",
     "wasserstein_lp",
     "stable_learning_rate",
@@ -203,16 +199,20 @@ def unregularized_cost(g: ConnectionGraph, flow):
     return float(g.weights @ _edge_norms(flow))
 
 
-def stable_learning_rate(g: ConnectionGraph, lam=None, safety=0.9):
+#: Fraction of the monotone-ascent step bound that :func:`stable_learning_rate` returns.
+STEP_SAFETY = 0.9
+
+
+def stable_learning_rate(g: ConnectionGraph, lam=None):
     """Step size guaranteeing monotone ascent.
 
     The dual Hessian is bounded by ``lambda_max(B B^T) / lam`` and
     ``lambda_max(B B^T) <= 2 * max_degree``, so
-    ``safety * lam / (2 * max_degree)`` keeps the fixed step inside the
-    monotone regime.
+    ``STEP_SAFETY * lam / (2 * max_degree)`` keeps the fixed step inside
+    the monotone regime.
     """
     lam = _resolve_lam(g, lam)
-    return safety * lam / (2.0 * max(g.max_degree, 1))
+    return STEP_SAFETY * lam / (2.0 * max(g.max_degree, 1))
 
 
 def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None = None):
@@ -304,105 +304,16 @@ def unregularized_dual_value(phi, c):
     return float(np.vdot(phi.reshape(-1), c.reshape(-1)))
 
 
-def wasserstein(g: ConnectionGraph, alpha, beta, lam=None, opts: SolveOptions | None = None):
+def wasserstein(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None = None):
     """Connection Beckmann distance: unregularized cost of the regularized flow.
 
     Returns ``inf`` for infeasible pairs instead of raising.
     """
-    if opts is None:
-        opts = SolveOptions()
-    if lam is not None:
-        opts = dataclasses.replace(opts, lam=lam)
     try:
         flow, _, _ = solve_regularized(g, alpha, beta, opts)
     except FeasibilityError:
         return float("inf")
     return unregularized_cost(g, flow)
-
-
-# ----------------------------------------------------------------- oracles
-
-
-def oracle_solve(g: ConnectionGraph, alpha, beta, lam=None, eps=1e-9, max_iter=200):
-    """Independent primal-route solve of the regularized problem.
-
-    Minimizes the smoothed objective
-    ``sum_e w(e) sqrt(|J(e)|^2 + eps^2) + (lam/2) sum_e |J(e)|^2`` over the
-    affine feasible set ``B J = c``: a least-squares particular solution
-    plus a damped Newton iteration in an orthonormal null-space
-    parameterization of ``B``, run as a continuation over decreasing
-    smoothing levels down to ``eps`` (a cold Newton start at tiny ``eps``
-    can stall on the near-kink curvature).  Dense linear algebra
-    throughout; intended for small instances as a cross-check of
-    :func:`solve_regularized`.
-    """
-    g.require_valid()
-    lam = _resolve_lam(g, lam)
-    c_vec = _difference(g, alpha, beta).reshape(-1)
-    bmat = g.incidence_matrix.toarray()
-    m, d = g.m, g.d
-
-    j0, *_ = np.linalg.lstsq(bmat, c_vec, rcond=None)
-    resid = float(np.linalg.norm(bmat @ j0 - c_vec))
-    if resid > 1e-8 * (1.0 + float(np.linalg.norm(c_vec))):
-        raise FeasibilityError(
-            f"no feasible flow: least-squares constraint residual {resid:.3g}"
-        )
-
-    svals = np.linalg.svd(bmat, compute_uv=False)
-    cutoff = svals.max() * max(bmat.shape) * np.finfo(float).eps if svals.size else 0.0
-    rank = int(np.count_nonzero(svals > cutoff))
-    _, _, vt = np.linalg.svd(bmat, full_matrices=True)
-    null = vt[rank:].T  # (m d, k)
-    k = null.shape[1]
-    if k == 0:
-        return j0.reshape(m, d)
-
-    w = g.weights
-    null3 = null.reshape(m, d, k)
-
-    def objective(y, smooth):
-        flow = (j0 + null @ y).reshape(m, d)
-        sq = np.einsum("ed,ed->e", flow, flow)
-        s = np.sqrt(sq + smooth * smooth)
-        return float(w @ s + 0.5 * lam * sq.sum()), flow, s
-
-    schedule = [1e-3]
-    while schedule[-1] > eps:
-        schedule.append(max(schedule[-1] * 1e-2, eps))
-
-    y = np.zeros(k)
-    flow = None
-    for smooth in schedule:
-        value, flow, s = objective(y, smooth)
-        grad0_norm = None
-        for _ in range(max_iter):
-            coef = w / s + lam
-            grad_flow = coef[:, None] * flow
-            grad = np.einsum("edk,ed->k", null3, grad_flow)
-            gnorm = float(np.linalg.norm(grad))
-            if grad0_norm is None:
-                grad0_norm = gnorm
-            if gnorm <= 1e-11 * (1.0 + grad0_norm):
-                break
-            # per-edge Hessian blocks: w (I/s - J J^T / s^3) + lam I
-            blocks = (
-                (w / s)[:, None, None] * np.eye(d)
-                - (w / s**3)[:, None, None] * np.einsum("ea,eb->eab", flow, flow)
-                + lam * np.eye(d)
-            )
-            hn = np.einsum("eab,ebk->eak", blocks, null3)
-            hess = np.einsum("eak,eal->kl", null3, hn)
-            step = np.linalg.solve(hess, -grad)
-            t = 1.0
-            for _ in range(60):
-                trial, trial_flow, trial_s = objective(y + t * step, smooth)
-                if trial <= value + 1e-4 * t * float(grad @ step):
-                    break
-                t *= 0.5
-            y = y + t * step
-            value, flow, s = trial, trial_flow, trial_s
-    return flow
 
 
 def wasserstein_lp(g: ConnectionGraph, alpha, beta):

@@ -8,13 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conbeck.graph import ConnectionGraph, random_orthogonal
+from conbeck.graph import ConnectionGraph
 from conbeck.manifold import (
     epsilon_graph,
     procrustes_connection,
     sample_sphere_patch,
     tangent_frames,
 )
+
+from oracles import random_orthogonal
 
 # ``pythonpath`` in pyproject.toml puts src/ on this process's path; child
 # ``python -m conbeck`` processes find the package through the environment

@@ -28,7 +28,6 @@ from conbeck.graph import (
     combinatorial_laplacian,
     connection_laplacian,
     is_consistent,
-    random_orthogonal,
     switch,
     validate_graph,
 )
@@ -45,7 +44,6 @@ from conbeck.solver import (
     SolveOptions,
     dual_gradient,
     dual_objective,
-    oracle_solve,
     primal_cost,
     solve_regularized,
     stable_learning_rate,
@@ -65,6 +63,7 @@ from conftest import (
     random_connected_graph,
     random_density,
 )
+from oracles import oracle_solve, random_orthogonal
 
 
 def _passed(num, text):

@@ -422,8 +422,8 @@ def test_kernel_commands_run_without_dense_eigensolver(tmp_path, capsys, monkeyp
 
 
 def test_distmat_project_kernel_solves_for_the_modes_once(tmp_path, capsys, monkeypatch):
-    # the kernel comes from the near-kernel solve the projection ran: one
-    # lambda_max and one shift-invert eigsh, where two of each ran before
+    # the kernel and the projection share one near-kernel solve per graph,
+    # whichever runs first: one lambda_max and one shift-invert eigsh
     calls = []
     real = feasibility.eigsh
 
@@ -449,16 +449,12 @@ def test_distmat_project_kernel_solves_for_the_modes_once(tmp_path, capsys, monk
     assert main(args) == 0
     capsys.readouterr()
     assert calls == ["LA", "shift-invert"]
-    # D as with the kernel solved on its own, before the projection
+    # D as with the kernel solved first, before the projection
     g = io.load_graph(gp)
     assert g.kernel.dimension == 0
     expected = distance_matrix(g, project_feasible(g, fields), opts)
-    assert calls[2:] == ["LA", "shift-invert", "LA", "shift-invert"]
+    assert calls[2:] == ["LA", "shift-invert"]
     assert np.array_equal(io.load_matrix(out), expected)
-    # an explicit mode count neither fills the cache nor uses it
-    h = io.load_graph(gp)
-    project_feasible(h, fields, num_modes=3)
-    assert "near_kernel_modes" not in vars(h)
     assert "near_kernel_modes" not in vars(pickle.loads(pickle.dumps(g)))
 
 

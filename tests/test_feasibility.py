@@ -26,7 +26,7 @@ from conbeck.feasibility import (
     project_feasible,
     require_feasible,
 )
-from conbeck.graph import ConnectionGraph, apply_BT, is_consistent, random_orthogonal, switch
+from conbeck.graph import ConnectionGraph, apply_BT, is_consistent, switch
 from conbeck.manifold import (
     epsilon_graph,
     procrustes_connection,
@@ -42,6 +42,7 @@ from conftest import (
     random_connected_graph,
     random_density,
 )
+from oracles import random_orthogonal
 
 
 # ------------------------------------------------------------------ kernels
@@ -174,6 +175,25 @@ def test_kernel_is_cached_on_the_graph(sign_path, monkeypatch):
     assert len(calls) == 1
 
 
+def _twisted_ring(n=200, angle=0.5):
+    """Ring of n vertices, d = 3, identity on every edge but the closing
+    one, which rotates by ``angle`` about the third axis: that axis is the
+    kernel, and the twist leaves many modes under NEAR_KERNEL_RATIO."""
+    c, s = np.cos(angle), np.sin(angle)
+    sigmas = np.repeat(np.eye(3)[None], n, axis=0)
+    sigmas[-1] = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    edges = np.array([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    return ConnectionGraph(n, 3, edges, np.ones(n), sigmas)
+
+
+def test_kernel_same_whether_or_not_the_projection_ran_first():
+    fresh, projected = _twisted_ring(), _twisted_ring()
+    project_feasible(projected, np.zeros((projected.n, 3)))
+    assert projected.near_kernel_modes[0].shape[1] > 2 * projected.d + 2
+    assert fresh.kernel.dimension == 1
+    assert np.array_equal(fresh.kernel.vectors, projected.kernel.vectors)
+
+
 def test_kernel_structured_memory_linear_in_chords():
     # complete graph K_50, d = 2: 1176 chords; a square factor of the
     # (chords d) x d stack would take (chords d)^2 doubles = 44 MB
@@ -283,37 +303,25 @@ def test_project_feasible_random_becomes_feasible(sign_path):
     assert is_feasible(sign_path, out, zero)
 
 
-def test_project_feasible_anchor_components_kept(sign_path):
-    rng = np.random.default_rng(28)
-    f = rng.standard_normal((3, 1))
-    anchor = rng.standard_normal((3, 1))
-    out = project_feasible(sign_path, f, anchor=anchor)
-    assert is_feasible(sign_path, out, anchor)
-
-
 def test_project_feasible_stack_matches_single_fields():
     rng = np.random.default_rng(30)
     g = random_connected_graph(rng, n=9, d=2, extra_edges=4, consistent=True)
     stack = rng.standard_normal((4, 9, 2))
-    anchor = rng.standard_normal((9, 2))
-    for kwargs in ({}, {"anchor": anchor}, {"num_modes": 3}):
-        out = project_feasible(g, stack, **kwargs)
-        assert out.shape == stack.shape
-        for field, projected in zip(stack, out):
-            single = project_feasible(g, field, **kwargs)
-            assert single.shape == (9, 2)
-            assert np.abs(projected - single).max() <= 1e-12
+    out = project_feasible(g, stack)
+    assert out.shape == stack.shape
+    for field, projected in zip(stack, out):
+        single = project_feasible(g, field)
+        assert single.shape == (9, 2)
+        assert np.abs(projected - single).max() <= 1e-12
 
 
-def _dense_projection(g, stack, anchor=None, num_modes=None):
+def _dense_projection(g, stack):
     """project_feasible's rule on a full dense eigendecomposition of L."""
     eigs, vecs = np.linalg.eigh(g.laplacian_matrix.toarray())
-    if num_modes is None:
-        num_modes = int(np.count_nonzero(eigs <= NEAR_KERNEL_RATIO * max(eigs[-1], 1.0)))
+    num_modes = int(np.count_nonzero(eigs <= NEAR_KERNEL_RATIO * max(eigs[-1], 1.0)))
     modes = vecs[:, :num_modes]
     rows = stack.reshape(stack.shape[0], -1)
-    ref = 0.0 if anchor is None else anchor.reshape(-1)
-    return (rows - ((rows - ref) @ modes) @ modes.T).reshape(stack.shape), num_modes
+    return (rows - (rows @ modes) @ modes.T).reshape(stack.shape), num_modes
 
 
 def test_project_feasible_sparse_matches_dense():
@@ -322,19 +330,15 @@ def test_project_feasible_sparse_matches_dense():
     low = np.linalg.eigvalsh(curved.laplacian_matrix.toarray())[:3]
     assert low[1] - low[0] <= 1e-9 < low[2] - low[1]  # a degenerate near-kernel pair
     # a long path has nine modes under the threshold: k grows from 4 to 16
-    cases = [(curved, 2, 4), (make_path_graph(400, 1), 9, 12)]
-    for g, count, modes in cases:
+    for g, count in [(curved, 2), (make_path_graph(400, 1), 9)]:
         assert g.n * g.d > feasibility.ARPACK_MIN_NCV
-        assert feasibility._lowest_modes(g, NEAR_KERNEL_RATIO)[0].shape == (g.n * g.d, count)
+        assert feasibility._lowest_modes(g)[0].shape == (g.n * g.d, count)
         stack = rng.standard_normal((3, g.n, g.d))
-        anchor = rng.standard_normal((g.n, g.d))
-        both = {"num_modes": modes, "anchor": anchor}
-        for kwargs in ({}, {"anchor": anchor}, {"num_modes": modes}, both):
-            out = project_feasible(g, stack, **kwargs)
-            expected, used = _dense_projection(g, stack, **kwargs)
-            assert used == kwargs.get("num_modes", count)
-            assert np.abs(out - expected).max() <= 1e-12
-            assert np.array_equal(out, project_feasible(g, stack, **kwargs))
+        out = project_feasible(g, stack)
+        expected, used = _dense_projection(g, stack)
+        assert used == count
+        assert np.abs(out - expected).max() <= 1e-12
+        assert np.array_equal(out, project_feasible(g, stack))
 
 
 def test_project_feasible_num_modes_override(diamond):
@@ -342,13 +346,6 @@ def test_project_feasible_num_modes_override(diamond):
     f = rng.standard_normal((4, 1))
     # diamond kernel is empty: the default projection is the identity
     assert np.abs(project_feasible(diamond, f) - f).max() == 0.0
-    # forcing one mode removes the lowest eigenvector component
-    out = project_feasible(diamond, f, num_modes=1)
-    lap = np.array(
-        [[2, -1, 1, 0], [-1, 2, 0, -1], [1, 0, 2, -1], [0, -1, -1, 2]], dtype=float
-    )
-    eigs, vecs = np.linalg.eigh(lap)
-    assert abs(float(vecs[:, 0] @ out.reshape(-1))) <= 1e-10
 
 
 # ----------------------------------------------------------------- switching

@@ -22,13 +22,13 @@ from conbeck.graph import (
     incidence,
     is_consistent,
     path_product,
-    random_orthogonal,
     switch,
     tree_products,
     validate_graph,
 )
 
 from conftest import make_path_graph, queue_bfs, random_connected_graph
+from oracles import random_orthogonal
 
 
 # ---------------------------------------------------------------- validation

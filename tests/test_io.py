@@ -10,7 +10,7 @@ import pytest
 from conbeck import io as io_module
 from conbeck.errors import FormatError, InvalidGraphError
 from conbeck.feasibility import KernelBasis
-from conbeck.graph import ConnectionGraph, random_orthogonal
+from conbeck.graph import ConnectionGraph
 from conbeck.io import (
     field_to_dict,
     flow_to_dict,
@@ -42,6 +42,7 @@ from conbeck.io import (
 from conbeck.solver import SolveOptions, solve_regularized
 
 from conftest import random_connected_graph
+from oracles import random_orthogonal
 
 
 # -------------------------------------------------------------------- graphs

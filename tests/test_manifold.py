@@ -7,7 +7,7 @@ import pytest
 
 from conbeck.errors import InvalidGraphError
 from conbeck.feasibility import kernel_numeric
-from conbeck.graph import random_orthogonal, validate_graph
+from conbeck.graph import validate_graph
 from conbeck.manifold import (
     epsilon_graph,
     lift_to_ambient,
@@ -18,6 +18,8 @@ from conbeck.manifold import (
     sphere_point,
     tangent_frames,
 )
+
+from oracles import random_orthogonal
 
 
 # -------------------------------------------------------------- epsilon graph

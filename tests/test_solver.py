@@ -21,13 +21,12 @@ import pytest
 
 from conbeck.errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from conbeck.feasibility import kernel_numeric
-from conbeck.graph import ConnectionGraph, apply_B, apply_BT, incidence, switch, random_orthogonal
+from conbeck.graph import ConnectionGraph, apply_B, apply_BT, incidence, switch
 from conbeck.solver import (
     SolveOptions,
     dual_feasible_unregularized,
     dual_gradient,
     dual_objective,
-    oracle_solve,
     primal_cost,
     recover_primal,
     solve_regularized,
@@ -43,6 +42,7 @@ from conftest import (
     random_connected_graph,
     random_density,
 )
+from oracles import oracle_solve, random_orthogonal
 
 
 def tree_flow(g, c):
@@ -545,4 +545,4 @@ def test_wasserstein_symmetry_and_zero(diamond_problem):
 def test_wasserstein_infeasible_is_inf(sign_path):
     alpha = np.array([[1.0], [0.0], [0.0]])
     beta = np.array([[0.0], [0.0], [1.0]])
-    assert wasserstein(sign_path, alpha, beta, lam=1.0) == float("inf")
+    assert wasserstein(sign_path, alpha, beta, SolveOptions(lam=1.0)) == float("inf")
