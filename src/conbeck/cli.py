@@ -79,11 +79,12 @@ def _solve_options(args):
     )
 
 
-def _add_solver_arguments(sub, require_lambda=True):
-    sub.add_argument("--lambda", dest="lam", type=float, required=require_lambda)
-    sub.add_argument("--lr", type=float, default=5e-3)
-    sub.add_argument("--epochs", type=int, default=10000)
-    sub.add_argument("--grad-tol", type=float, default=None)
+def _add_solver_arguments(sub):
+    defaults = SolveOptions()
+    sub.add_argument("--lambda", dest="lam", type=float, required=True)
+    sub.add_argument("--lr", type=float, default=defaults.learning_rate)
+    sub.add_argument("--epochs", type=int, default=defaults.max_epochs)
+    sub.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
     sub.add_argument("--allow-small-lambda", action="store_true")
 
 

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConbeckError",
+    "InvalidGraphError",
+    "FormatError",
+    "FeasibilityError",
+    "NonConvergenceError",
+]
+
 
 class ConbeckError(Exception):
     """Base class for all conbeck errors."""

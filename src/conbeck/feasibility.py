@@ -30,6 +30,7 @@ __all__ = [
     "kernel_numeric",
     "kernel_structured",
     "is_feasible",
+    "require_feasible",
     "feasibility_report",
     "project_feasible",
     "feasibility_switching",
@@ -58,12 +59,20 @@ class KernelBasis:
         return np.einsum("knd,nd->k", self.vectors, np.asarray(field, dtype=float))
 
 
-def kernel_numeric(g: ConnectionGraph, tol=1e-8):
+#: Eigenvalues of L at or below this fraction of ``max(lambda_max, 1)`` count
+#: as kernel; the parallel sections must have a residual ``|B^T f|`` at or below it.
+KERNEL_TOL = 1e-8
+
+#: Root of the BFS tree along which :func:`kernel_structured` expands the parallel sections.
+KERNEL_ROOT = 0
+
+
+def kernel_numeric(g: ConnectionGraph):
     """Kernel of the connection Laplacian from its spectrum.
 
     The kernel dimension k is the number of eigenvalues of L at or below
-    ``tol * max(lambda_max, 1)``; ties resolve toward inclusion.  The basis
-    is the k lowest eigenvectors of the same dense L.  Their residual
+    ``KERNEL_TOL * max(lambda_max, 1)``; ties resolve toward inclusion.
+    The basis is the k lowest eigenvectors of the same dense L.  Their residual
     ``|B^T f|`` stays at machine level: the eigensolver's error in a
     kernel vector lies along eigenvectors of nonzero eigenvalue, where
     B^T does not amplify it.  Costs O((n d)^3) time and O((n d)^2) memory,
@@ -73,20 +82,12 @@ def kernel_numeric(g: ConnectionGraph, tol=1e-8):
     g.require_valid()
     lap = g.laplacian_matrix.toarray()
     eigs = np.linalg.eigvalsh(lap)
-    threshold = tol * max(float(eigs[-1]), 1.0)
+    threshold = KERNEL_TOL * max(float(eigs[-1]), 1.0)
     k = int(np.count_nonzero(eigs <= threshold))
     if k == 0:
         return KernelBasis(np.zeros((0, g.n, g.d)), threshold)
     _, vecs = scipy.linalg.eigh(lap, subset_by_index=(0, k - 1))
     return KernelBasis(vecs.T.reshape(k, g.n, g.d), threshold)
-
-
-#: Eigenvalues of L at or below this fraction of ``max(lambda_max, 1)`` count
-#: as kernel; the parallel sections must have a residual ``|B^T f|`` at or below it.
-KERNEL_TOL = 1e-8
-
-#: Root of the BFS tree along which :func:`kernel_structured` expands the parallel sections.
-KERNEL_ROOT = 0
 
 
 def kernel_structured(g: ConnectionGraph):
@@ -153,15 +154,15 @@ def feasibility_report(g: ConnectionGraph, alpha, beta, tol=1e-8):
     return (not violations), violations, basis
 
 
-def is_feasible(g: ConnectionGraph, alpha, beta, tol=1e-8):
-    """Whether alpha - beta is orthogonal to ker(L), within ``tol`` (scaled)."""
-    feasible, _, _ = feasibility_report(g, alpha, beta, tol)
+def is_feasible(g: ConnectionGraph, alpha, beta):
+    """Whether alpha - beta is orthogonal to ker(L); see :func:`feasibility_report`."""
+    feasible, _, _ = feasibility_report(g, alpha, beta)
     return feasible
 
 
-def require_feasible(g: ConnectionGraph, alpha, beta, tol=1e-8):
+def require_feasible(g: ConnectionGraph, alpha, beta):
     """Raise :class:`FeasibilityError` naming violated components if infeasible."""
-    feasible, violations, basis = feasibility_report(g, alpha, beta, tol)
+    feasible, violations, basis = feasibility_report(g, alpha, beta)
     if not feasible:
         parts = ", ".join(f"component {k}: <diff, f_{k}> = {ip:.6g}" for k, ip in violations)
         raise FeasibilityError(

@@ -436,10 +436,11 @@ def _chords(g, parent):
     return (parent[i] != j) & (parent[j] != i)
 
 
-def _chord_products(g, root=0):
+def _chord_products(g):
     """Tree products ``t`` and the cycle products ``t[i]^T sigma_e t[j]`` of
-    the chords (non-tree edges ``e = (i, j)``), in canonical edge order."""
-    order, parent = bfs_tree(g, root)
+    the chords (non-tree edges ``e = (i, j)``) of the BFS tree from vertex 0,
+    in canonical edge order."""
+    order, parent = bfs_tree(g)
     t = _tree_products(g, order, parent)
     chord = _chords(g, parent)
     i, j = g.edge_index[chord].T
@@ -462,14 +463,14 @@ def path_product(g: ConnectionGraph, path):
     return out
 
 
-def fundamental_cycles(g: ConnectionGraph, root=0):
-    """Fundamental cycles of the BFS spanning tree rooted at ``root``.
+def fundamental_cycles(g: ConnectionGraph):
+    """Fundamental cycles of the BFS spanning tree rooted at vertex 0.
 
     One cycle per non-tree edge, in canonical edge order; each cycle is a
-    vertex path starting and ending at ``root`` that traverses the chord.
+    vertex path starting and ending at vertex 0 that traverses the chord.
     Trees yield an empty list.
     """
-    _, parent = bfs_tree(g, root)
+    _, parent = bfs_tree(g)
 
     def path_to_root(u):
         path = [int(u)]
@@ -483,14 +484,14 @@ def fundamental_cycles(g: ConnectionGraph, root=0):
     ]
 
 
-def is_consistent(g: ConnectionGraph, tol=1e-8, root=0):
+def is_consistent(g: ConnectionGraph, tol=1e-8):
     """Whether every cycle product equals the identity within ``tol`` (max-norm).
 
     Checks the fundamental cycles of a BFS spanning tree; these generate
     all rooted cycle products, so the reduction is exact.
     """
     g.require_valid()
-    _, prods = _chord_products(g, root)
+    _, prods = _chord_products(g)
     return not (np.abs(prods - np.eye(g.d)) > tol).any()
 
 

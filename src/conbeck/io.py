@@ -2,8 +2,8 @@
 
 JSON documents use plain ``repr`` floats (Python's shortest round-trip
 representation), so a save/load cycle reproduces every array bit for bit.
-Graphs, fields, flows, frames, switching functions and kernel bases are
-written row by row in the text ``json.dump(obj, fh, indent=2)`` gives.
+Every document is written row by row in the text that ``json.dump`` with
+``indent=2`` gives.
 Schema problems raise :class:`~conbeck.errors.FormatError`; semantic graph
 problems surface as :class:`~conbeck.errors.InvalidGraphError` when
 ``validate=True``.
@@ -71,12 +71,6 @@ def _load_json(path):
     return obj
 
 
-def _dump_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 #: Rows of a table that :func:`_dump_table` formats and writes at a time.
 _CHUNK_ROWS = 2048
 
@@ -111,30 +105,37 @@ def _json_cells(block):
     return cells
 
 
-def _dump_table(path, header, key, row, columns):
-    """Write ``{**header, key: [row, ...]}`` in the text that
-    ``json.dump(obj, fh, indent=2)`` and a newline give, ``_CHUNK_ROWS``
+def _dump_table(path, header, tables=()):
+    """Write ``{**header, key: [row, ...], ...}`` in the text that
+    ``json.dump`` with ``indent=2`` and a newline give, ``_CHUNK_ROWS``
     rows at a time.
 
-    ``header`` maps keys to ints.  Row r is laid out by the :func:`_layout`
-    spec ``row`` from the r-th rows of the 2-D arrays ``columns``, taken
-    left to right.
+    ``header`` maps keys to JSON scalars.  Each of ``tables`` is a
+    ``(key, row, columns)`` triple: its row r is laid out by the
+    :func:`_layout` spec ``row`` from the r-th rows of the 2-D arrays
+    ``columns``, taken left to right.
     """
-    rows = len(columns[0])
-    head = "".join(f"\n  {json.dumps(k)}: {int(v)}," for k, v in header.items())
-    item = "    " + _layout(row, 2)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{{{head}\n  {json.dumps(key)}: ")
-        if not rows:
-            fh.write("[]\n}\n")
-            return
-        sep = "[\n"
-        for start in range(0, rows, _CHUNK_ROWS):
-            block = [_json_cells(col[start : start + _CHUNK_ROWS]) for col in columns]
-            cells = np.concatenate(block, axis=1)
-            fh.write(sep + ",\n".join([item] * len(cells)) % tuple(cells.ravel().tolist()))
-            sep = ",\n"
-        fh.write("\n  ]\n}\n")
+        sep = "{"
+        for k, v in header.items():
+            fh.write(f"{sep}\n  {json.dumps(k)}: {json.dumps(v)}")
+            sep = ","
+        for key, row, columns in tables:
+            fh.write(f"{sep}\n  {json.dumps(key)}: ")
+            sep = ","
+            rows = len(columns[0])
+            if not rows:
+                fh.write("[]")
+                continue
+            item = "    " + _layout(row, 2)
+            lead = "[\n"
+            for start in range(0, rows, _CHUNK_ROWS):
+                block = [_json_cells(col[start : start + _CHUNK_ROWS]) for col in columns]
+                cells = np.concatenate(block, axis=1)
+                fh.write(lead + ",\n".join([item] * len(cells)) % tuple(cells.ravel().tolist()))
+                lead = ",\n"
+            fh.write("\n  ]")
+        fh.write("\n}\n" if sep == "," else "{}\n")
 
 
 def _get(obj, key, where):
@@ -164,13 +165,13 @@ def _as_array(values, shape, where):
     return arr
 
 
-def _orthonormal_stack(arr, where, tol=ORTHOGONALITY_TOL):
+def _orthonormal_stack(arr, where):
     """Polar-project a stack of (semi-)orthogonal matrices, or complain."""
-    defect, out = _snap(arr, hi=tol)
-    bad = np.flatnonzero(defect > tol)
+    defect, out = _snap(arr)
+    bad = np.flatnonzero(defect > ORTHOGONALITY_TOL)
     if bad.size:
         raise FormatError(
-            f"{where}: matrix {bad[0]} is not orthonormal within {tol:g} "
+            f"{where}: matrix {bad[0]} is not orthonormal within {ORTHOGONALITY_TOL:g} "
             f"(max Gram deviation {defect[bad[0]]:.3e})"
         )
     return out
@@ -240,7 +241,7 @@ def load_graph(path, validate=True):
 def save_graph(path, g):
     row = {"i": (), "j": (), "w": (), "sigma": (g.d * g.d,)}
     columns = [g.edge_index, g.weights[:, None], g.sigmas.reshape(g.m, g.d * g.d)]
-    _dump_table(path, {"n": g.n, "d": g.d}, "edges", row, columns)
+    _dump_table(path, {"n": g.n, "d": g.d}, [("edges", row, columns)])
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,7 @@ def load_field(path):
 def save_field(path, field):
     field = np.asarray(field, dtype=float)
     n, d = field.shape
-    _dump_table(path, {"n": n, "d": d}, "values", (d,), [field])
+    _dump_table(path, {"n": n, "d": d}, [("values", (d,), [field])])
 
 
 def flow_to_dict(flow):
@@ -291,7 +292,7 @@ def load_flow(path):
 def save_flow(path, flow):
     flow = np.asarray(flow, dtype=float)
     m, d = flow.shape
-    _dump_table(path, {"m": m, "d": d}, "values", (d,), [flow])
+    _dump_table(path, {"m": m, "d": d}, [("values", (d,), [flow])])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,8 @@ def load_frames(path):
 def save_frames(path, frames):
     frames = np.asarray(frames, dtype=float)
     n, p, d = frames.shape
-    _dump_table(path, {"n": n, "p": p, "d": d}, "frames", (p, d), [frames.reshape(n, p * d)])
+    table = ("frames", (p, d), [frames.reshape(n, p * d)])
+    _dump_table(path, {"n": n, "p": p, "d": d}, [table])
 
 
 def tau_to_dict(tau):
@@ -347,7 +349,8 @@ def load_tau(path):
 def save_tau(path, tau):
     tau = np.asarray(tau, dtype=float)
     n, d, _ = tau.shape
-    _dump_table(path, {"n": n, "d": d}, "tau", (d, d), [tau.reshape(n, d * d)])
+    table = ("tau", (d, d), [tau.reshape(n, d * d)])
+    _dump_table(path, {"n": n, "d": d}, [table])
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +402,25 @@ def load_trajectory(path):
 
 
 def save_trajectory(path, states, ambient=None):
-    _dump_json(path, trajectory_to_dict(states, ambient=ambient))
+    states = np.asarray(states, dtype=float)
+    k, n, d = states.shape
+    tables = [("states", (n, d), [states.reshape(k, n * d)])]
+    if ambient is not None:
+        ambient = np.asarray(ambient, dtype=float)
+        tables.append(("ambient", ambient.shape[1:], [ambient.reshape(len(ambient), -1)]))
+    _dump_table(path, {"n": n, "d": d, "steps": k - 1}, tables)
 
 
 def save_report(path, report):
-    _dump_json(path, report.to_json_dict())
+    _dump_table(path, report.to_json_dict())
 
 
 def save_kernel(path, basis):
     """Write a kernel basis: ``n``, ``d``, ``dimension`` and the (k, n, d) ``vectors``."""
     k, n, d = basis.vectors.shape
     header = {"n": n, "d": d, "dimension": basis.dimension}
-    _dump_table(path, header, "vectors", (n, d), [basis.vectors.reshape(k, n * d)])
+    table = ("vectors", (n, d), [basis.vectors.reshape(k, n * d)])
+    _dump_table(path, header, [table])
 
 
 # ---------------------------------------------------------------------------

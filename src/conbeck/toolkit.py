@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph
 
-from .errors import InvalidGraphError, NonConvergenceError
-from .feasibility import is_feasible
+from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .graph import ConnectionGraph, _adjacency, apply_B
 from .solver import SolveOptions, solve_regularized
 
@@ -120,7 +119,11 @@ def active_edges(flow, delta=0.0):
 
 
 def _solve_pair(g, fields, opts, a, b):
-    _, _, report = solve_regularized(g, fields[a], fields[b], opts)
+    """``(cost, converged)`` of one pair; ``(inf, True)`` when infeasible."""
+    try:
+        _, _, report = solve_regularized(g, fields[a], fields[b], opts)
+    except FeasibilityError:
+        return float("inf"), True
     return report.primal_cost, report.converged
 
 
@@ -147,9 +150,10 @@ def distance_matrix(
 ):
     """Symmetric matrix of pairwise regularized transport costs.
 
-    Infeasible pairs (:func:`~conbeck.feasibility.is_feasible`) get ``inf``
-    without running the solver; the diagonal is exactly zero.  The kernel
-    is computed once, as ``g.kernel``.  With ``jobs > 1`` the pairwise
+    Infeasible pairs get ``inf``, as in :func:`~conbeck.solver.wasserstein`:
+    the solver's feasibility test refuses them before any ascent, so each
+    pair is tested once.  The diagonal is exactly zero.  The kernel is
+    computed once, as ``g.kernel``.  With ``jobs > 1`` the pairwise
     solves run in a process pool (they are independent): each worker
     receives the graph, its kernel and the fields once, and a task is just
     a pair of indices.  Results are deterministic either way.  A pair that
@@ -164,13 +168,7 @@ def distance_matrix(
     k = len(fields)
     dist = np.zeros((k, k))
     conv = np.ones((k, k), dtype=bool)
-    tasks = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            if is_feasible(g, fields[a], fields[b]):
-                tasks.append((a, b))
-            else:
-                dist[a, b] = dist[b, a] = np.inf
+    tasks = [(a, b) for a in range(k) for b in range(a + 1, k)]
 
     def finish(a, b, cost, converged):
         if not converged and require_convergence:
@@ -182,6 +180,7 @@ def distance_matrix(
         conv[a, b] = conv[b, a] = converged
 
     if jobs and jobs > 1:
+        g.kernel  # once here, not once per worker: the pickle carries it
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(g, fields, opts)
         ) as pool:

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from conbeck import feasibility, io
-from conbeck.cli import main
+from conbeck.cli import build_parser, main
 from conbeck.feasibility import kernel_numeric, project_feasible
 from conbeck.graph import ConnectionGraph
 from conbeck.manifold import epsilon_graph, sample_sphere_patch, tangent_frames
@@ -67,6 +67,18 @@ def test_unknown_command_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_solver_flag_defaults_are_the_solve_options_defaults():
+    defaults = SolveOptions()
+    for argv in (
+        ["solve", "g.json", "a.json", "b.json", "--lambda", "1", "-o", "f.json"],
+        ["distmat", "g.json", "fields", "--lambda", "1", "-o", "D.csv"],
+    ):
+        args = build_parser().parse_args(argv)
+        assert args.lr == defaults.learning_rate
+        assert args.epochs == defaults.max_epochs
+        assert args.grad_tol == defaults.grad_tol
 
 
 def test_missing_input_file_is_usage_error(tmp_path, capsys):

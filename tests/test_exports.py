@@ -1,12 +1,16 @@
-"""Every name the package and its modules export resolves.
+"""Every name the package and its modules export resolves, and each
+module's ``__all__`` is the one list of its public names.
 
 Moving code out of a module must take its ``__all__`` entry along; a stale
-entry would only fail at ``from module import *`` time.
+entry would only fail at ``from module import *`` time.  The package
+re-exports the modules' lists, so a name missing from them is missing from
+``conbeck`` too.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -31,3 +35,41 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from conbeck import *", namespace)
     assert set(conbeck.__all__) <= namespace.keys()
+
+
+#: Modules whose public functions and classes must all be in ``__all__``.
+LISTED_MODULES = ["errors", "graph", "feasibility", "solver", "manifold", "toolkit", "hurdat", "io"]
+
+
+@pytest.mark.parametrize("name", LISTED_MODULES)
+def test_every_public_definition_is_exported(name):
+    module = importlib.import_module(f"conbeck.{name}")
+    defined = [
+        attr for attr, obj in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    ]
+    assert [attr for attr in defined if attr not in module.__all__] == []
+
+
+#: Every name the package exported before it re-exported the modules' lists.
+PACKAGE_NAMES = """
+    ConbeckError FeasibilityError FormatError InvalidGraphError NonConvergenceError
+    ConnectionGraph apply_B apply_BT combinatorial_laplacian connection_laplacian
+    fundamental_cycles incidence is_consistent path_product switch validate_graph
+    KernelBasis feasibility_report feasibility_switching is_feasible kernel_numeric
+    kernel_structured project_feasible require_feasible
+    SolveOptions SolveReport dual_objective recover_primal solve_regularized
+    stable_learning_rate unregularized_cost wasserstein wasserstein_lp
+    GraphSkeleton epsilon_graph lift_to_ambient procrustes_connection project_to_tangent
+    sample_sphere_patch sample_torus sphere_point tangent_frames
+    ClusterResult RingPartition active_edges distance_matrix edge_rings
+    interpolate_trajectory nodal_support pseudo_dirac spectral_cluster
+    StormTrack hurdat2_parse track_to_field __version__
+""".split()
+
+
+def test_package_keeps_every_name():
+    assert len(set(PACKAGE_NAMES)) == 55
+    assert set(PACKAGE_NAMES) <= set(conbeck.__all__)

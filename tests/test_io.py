@@ -35,11 +35,13 @@ from conbeck.io import (
     save_labels,
     save_matrix,
     save_points,
+    save_report,
     save_tau,
     save_trajectory,
     tau_to_dict,
+    trajectory_to_dict,
 )
-from conbeck.solver import SolveOptions, solve_regularized
+from conbeck.solver import SolveOptions, SolveReport, solve_regularized
 
 from conftest import random_connected_graph
 from oracles import random_orthogonal
@@ -154,6 +156,15 @@ def test_table_writers_match_json_dump(tmp_path, monkeypatch, chunk_rows):
         vectors = _messy(rng, (m % 3, n, d))
         kernel = {"n": n, "d": d, "dimension": m % 3, "vectors": vectors.tolist()}
         assert_text(save_kernel, KernelBasis(vectors, 1e-8), kernel)
+    # header-only documents, with the non-finite floats and a bool
+    report = SolveReport(float("nan"), float("inf"), -float("inf"), 0.5, 3, True, 1.0, 5e-3)
+    assert_text(save_report, report, report.to_json_dict())
+    # two tables in one document, with and without the ambient lifts
+    for k, n, d, p in [(1, 1, 1, 2), (5, 4, 2, 3)]:
+        states, ambient = list(_messy(rng, (k, n, d))), list(_messy(rng, (k, n, p)))
+        assert_text(save_trajectory, states, trajectory_to_dict(states))
+        with_ambient = trajectory_to_dict(states, ambient)
+        assert_text(lambda path, s: save_trajectory(path, s, ambient), states, with_ambient)
 
 
 def test_graph_load_reprojects_noisy_sigma(tmp_path):

@@ -224,6 +224,24 @@ def test_distance_matrix_computes_kernel_once(sign_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_distance_matrix_checks_feasibility_once_per_pair(sign_path, monkeypatch):
+    calls = []
+    real = feasibility.feasibility_report
+    monkeypatch.setattr(
+        feasibility, "feasibility_report", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    fields = [
+        np.array([[1.0], [0.0], [0.0]]),
+        np.array([[0.0], [1.0], [0.0]]),
+        np.array([[0.0], [0.0], [-1.0]]),
+        np.array([[0.0], [0.0], [1.0]]),  # infeasible against the others
+    ]
+    opts = SolveOptions(lam=1.0, max_epochs=50000)
+    dist = distance_matrix(sign_path, fields, opts, jobs=1)
+    assert len(calls) == 4 * 3 // 2
+    assert np.isinf(dist[:3, 3]).all() and np.isfinite(dist[:3, :3]).all()
+
+
 def test_distance_matrix_nonconvergence_raises(diamond_problem):
     g, alpha, beta, _ = diamond_problem
     opts = SolveOptions(lam=1.0, max_epochs=2)
