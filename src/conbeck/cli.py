@@ -70,6 +70,21 @@ def _check_lambda(args, g):
     return True
 
 
+def _at_least(kind, low):
+    """Argparse type: a finite ``kind`` (int or float) of at least ``low``."""
+
+    def parse(text):
+        value = kind(text)
+        if not low <= value < np.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number of at least {low}, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid <name> value" message
+    return parse
+
+
 def _solve_options(args):
     return SolveOptions(
         lam=args.lam,
@@ -310,7 +325,7 @@ def build_parser():
 
     sub = subs.add_parser("check", help="validate a graph and report its kernel")
     sub.add_argument("graph")
-    sub.add_argument("--tol", type=float, default=1e-8)
+    sub.add_argument("--tol", type=_at_least(float, 0), default=1e-8)
     sub.add_argument("--kernel-out", default=None)
     sub.set_defaults(func=_cmd_check)
 
@@ -318,7 +333,7 @@ def build_parser():
     sub.add_argument("graph")
     sub.add_argument("alpha")
     sub.add_argument("beta")
-    sub.add_argument("--tol", type=float, default=1e-8)
+    sub.add_argument("--tol", type=_at_least(float, 0), default=1e-8)
     sub.set_defaults(func=_cmd_feasible)
 
     sub = subs.add_parser("switch", help="write the feasibility switching")
@@ -340,7 +355,7 @@ def build_parser():
     sub = subs.add_parser("buildgraph", help="build a connection graph from points")
     sub.add_argument("points")
     sub.add_argument("--eps", type=float, required=True)
-    sub.add_argument("--dim", type=int, required=True)
+    sub.add_argument("--dim", type=_at_least(int, 1), required=True)
     sub.add_argument("--weights", choices=["inverse", "unit"], default="inverse")
     sub.add_argument("-o", "--output", required=True)
     sub.add_argument("--frames", default=None)
@@ -350,7 +365,7 @@ def build_parser():
     sub.add_argument("graph")
     sub.add_argument("alpha")
     sub.add_argument("flow")
-    sub.add_argument("--steps", type=int, required=True)
+    sub.add_argument("--steps", type=_at_least(int, 0), required=True)
     sub.add_argument("--frames", default=None)
     sub.add_argument("-o", "--output", required=True)
     sub.set_defaults(func=_cmd_interp)

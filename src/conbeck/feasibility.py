@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csgraph
 from scipy.sparse.linalg import eigsh
 
 from .errors import FeasibilityError
-from .graph import ConnectionGraph, _adjacency, tree_products
+from .graph import ConnectionGraph, _holonomies, _spanning_tree, tree_products
 
 __all__ = [
     "KernelBasis",
@@ -63,9 +62,6 @@ class KernelBasis:
 #: as kernel; the parallel sections must have a residual ``|B^T f|`` at or below it.
 KERNEL_TOL = 1e-8
 
-#: Root of the BFS tree along which :func:`kernel_structured` expands the parallel sections.
-KERNEL_ROOT = 0
-
 
 def kernel_numeric(g: ConnectionGraph):
     """Kernel of the connection Laplacian from its spectrum.
@@ -93,45 +89,45 @@ def kernel_numeric(g: ConnectionGraph):
 def kernel_structured(g: ConnectionGraph):
     """Kernel basis from parallel sections, with the dense rule's count.
 
-    The d fields ``f_k(i) = sigma_{P_{i,root}} e_k / sqrt(n)``, expanded
-    along BFS tree paths, are orthonormal, and ``B^T`` maps them to the
-    weighted defects of the fundamental cycle products seen from the root.
-    When every unit combination has ``|B^T f| <= KERNEL_TOL`` (the 2-norm
-    of the (m d) x d residual) and :func:`_at_most_d_kernel_modes` rules
-    out any other mode at or below ``KERNEL_TOL * max(lambda_max, 1)``,
-    they are the basis: O(m d^2) time and memory.  Otherwise the basis is
+    The d fields ``f_k(i) = t[i] e_k / sqrt(n)``, expanded along the BFS
+    tree from vertex 0 (``t`` its tree products), are orthonormal.  ``B^T``
+    vanishes on them across tree edges and maps them to ``t[i] (I - h_e) /
+    sqrt(n)`` across a chord ``e = (i, j)`` with holonomy ``h_e = t[i]^T
+    sigma_e t[j]``; as every ``t[i]`` is orthogonal, ``|B^T f|`` (the 2-norm
+    of the (m d) x d residual) is the 2-norm of the stacked chord defects
+    ``(h_e - I) / sqrt(n)``, and no B is formed.  When it is at most
+    ``KERNEL_TOL`` and :func:`_at_most_d_kernel_modes` rules out any other
+    mode at or below ``KERNEL_TOL * max(lambda_max, 1)``, the fields are
+    the basis: O(m d^2) time and memory.  Otherwise the basis is
     the near-kernel modes of ``g.near_kernel_modes``, the one sparse solve
     :func:`project_feasible` also reads, with eigenvalue at or below that
     threshold; this is the count rule of :func:`kernel_numeric`, with no
     dense L above the smallest graphs, and the same basis in any call order.
     :attr:`ConnectionGraph.kernel` caches the result.
     """
-    g.require_valid()
     d = g.d
-    fields = np.moveaxis(tree_products(g, KERNEL_ROOT), 2, 0) / np.sqrt(g.n)
-    resid = g.incidence_matrix_T @ fields.reshape(d, g.n * d).T
-    if (not g.m or np.linalg.norm(resid, 2) <= KERNEL_TOL) and _at_most_d_kernel_modes(g):
-        return KernelBasis(fields, KERNEL_TOL)
+    _, _, depth, chord, t = _spanning_tree(g, 0)
+    defects = (_holonomies(g, t, chord) - np.eye(d)).reshape(-1, d) / np.sqrt(g.n)
+    flat = not chord.any() or np.linalg.norm(defects, 2) <= KERNEL_TOL
+    if flat and _at_most_d_kernel_modes(g, depth.max()):
+        return KernelBasis(np.moveaxis(t, 2, 0) / np.sqrt(g.n), KERNEL_TOL)
     modes, vals, scale = g.near_kernel_modes
     threshold = KERNEL_TOL * scale
     return KernelBasis(modes[:, vals <= threshold].T.reshape(-1, g.n, d), threshold)
 
 
-def _at_most_d_kernel_modes(g: ConnectionGraph):
+def _at_most_d_kernel_modes(g: ConnectionGraph, depth):
     """Whether L provably has at most d eigenvalues at or below ``KERNEL_TOL * max(lambda_max, 1)``.
 
-    Switched to the BFS tree's frame, a unit field f with ``f^T L f <=
-    theta`` keeps every f(i) within ``sqrt(D theta / w_min)`` of f(root),
-    by Cauchy-Schwarz along tree paths of at most D edges.  When that is
-    below ``1 / sqrt(n)``, f(root) is nonzero for every such field, so the
-    eigenvectors under ``theta`` span at most d dimensions.  ``theta`` is
-    bounded through ``lambda_max <= 2 max_i deg_i``.  The test fails when
-    ``w_min <= n D theta``, where a weak edge can carry a non-kernel mode
-    under the threshold.
+    Switched to the frame of a BFS tree of depth D, a unit field f with
+    ``f^T L f <= theta`` keeps every f(i) within ``sqrt(D theta / w_min)``
+    of f(root), by Cauchy-Schwarz along tree paths of at most D edges.
+    When that is below ``1 / sqrt(n)``, f(root) is nonzero for every such
+    field, so the eigenvectors under ``theta`` span at most d dimensions.
+    ``theta`` is bounded through ``lambda_max <= 2 max_i deg_i``.  The test
+    fails when ``w_min <= n D theta``, where a weak edge can carry a
+    non-kernel mode under the threshold.
     """
-    depth = csgraph.shortest_path(
-        _adjacency(g.n, g.edge_index), unweighted=True, indices=KERNEL_ROOT
-    ).max()
     theta = KERNEL_TOL * max(2.0 * g.weighted_degrees.max(), 1.0)
     return depth == 0 or g.n * depth * theta < g.weights.min()
 

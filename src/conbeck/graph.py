@@ -165,11 +165,6 @@ class ConnectionGraph:
         return self.edge_index.shape[0]
 
     @cached_property
-    def edge_position(self):
-        """Dict mapping ``(i, j)`` with ``i < j`` to the edge index."""
-        return {(int(i), int(j)): e for e, (i, j) in enumerate(self.edge_index)}
-
-    @cached_property
     def weighted_degrees(self):
         deg = np.zeros(self.n)
         np.add.at(deg, self.edge_index[:, 0], self.weights)
@@ -189,12 +184,12 @@ class ConnectionGraph:
         return float(self.weights.max()) if self.m else 0.0
 
     def sigma_between(self, u, v):
-        """Connection matrix oriented ``u -> v`` for an existing edge."""
-        pos = self.edge_position
-        if (u, v) in pos:
-            return self.sigmas[pos[(u, v)]]
-        if (v, u) in pos:
-            return self.sigmas[pos[(v, u)]].T
+        """Connection matrix oriented ``u -> v``: that of the last edge stored as
+        ``(u, v)``, else the transpose of the last one stored as ``(v, u)``."""
+        hit = (self.edge_index[:, None] == [(u, v), (v, u)]).all(axis=2)
+        for way, sigma in enumerate((self.sigmas, np.swapaxes(self.sigmas, 1, 2))):
+            if hit[:, way].any():
+                return sigma[np.flatnonzero(hit[:, way])[-1]]
         raise InvalidGraphError(f"no edge between {u} and {v}")
 
     # -- validation ---------------------------------------------------------
@@ -398,6 +393,44 @@ def apply_B(g: ConnectionGraph, flow):
     return (g.incidence_matrix @ flow).reshape(g.n, g.d)
 
 
+def _spanning_tree(g: ConnectionGraph, root):
+    """BFS spanning tree from ``root``, neighbors in increasing index, as
+    ``(order, parent, depth, chord, t)``: visit order, parents (``-1`` at the
+    root), hop depths, the mask of non-tree edges, and the tree products
+    ``t[u] = sigma_{u, parent[u]} t[parent[u]]``, ``t[root] = I``, formed
+    one BFS level at a time."""
+    g.require_valid()
+    if not 0 <= root < g.n:
+        raise InvalidGraphError(f"root {root} is not a vertex of a graph with {g.n} vertices")
+    order, parent = csgraph.breadth_first_order(_adjacency(g.n, g.edge_index), root)
+    parent = np.maximum(parent, -1).astype(int)
+    i, j = g.edge_index.T
+    tail_up, head_up = parent[i] == j, parent[j] == i
+    # sigma from each non-root vertex to its parent, read off its parent edge
+    up = np.empty((g.n, g.d, g.d))
+    up[i[tail_up]] = g.sigmas[tail_up]
+    up[j[head_up]] = np.swapaxes(g.sigmas[head_up], 1, 2)
+    # BFS lists each level's children in their parents' order
+    parent_position = np.argsort(order)[parent[order[1:]]]
+    depth = np.zeros(g.n, dtype=int)
+    t = np.empty((g.n, g.d, g.d))
+    t[root] = np.eye(g.d)
+    start = 1
+    while start < g.n:
+        stop = 1 + np.searchsorted(parent_position, start)
+        level = order[start:stop]
+        depth[level] = depth[parent[level[0]]] + 1
+        t[level] = up[level] @ t[parent[level]]
+        start = stop
+    return order, parent, depth, ~(tail_up | head_up), t
+
+
+def _holonomies(g, t, chord):
+    """Cycle products ``t[i]^T sigma_e t[j]`` of the chords ``e = (i, j)``, in edge order."""
+    i, j = g.edge_index[chord].T
+    return np.swapaxes(t[i], 1, 2) @ g.sigmas[chord] @ t[j]
+
+
 def bfs_tree(g: ConnectionGraph, root=0):
     """Breadth-first spanning tree with deterministic neighbor order.
 
@@ -405,10 +438,7 @@ def bfs_tree(g: ConnectionGraph, root=0):
     ``(order, parent)`` where ``order`` lists vertices in visit order and
     ``parent[root] = -1``.
     """
-    g.require_valid()
-    order, parent = csgraph.breadth_first_order(_adjacency(g.n, g.edge_index), root)
-    parent = parent.astype(int)
-    parent[parent < 0] = -1
+    order, parent, *_ = _spanning_tree(g, root)
     return order.tolist(), parent
 
 
@@ -419,32 +449,7 @@ def tree_products(g: ConnectionGraph, root=0):
     ``i`` down to the root, so a kernel vector with root value ``x`` expands
     as ``f(i) = t[i] @ x``.
     """
-    return _tree_products(g, *bfs_tree(g, root))
-
-
-def _tree_products(g, order, parent):
-    t = np.zeros((g.n, g.d, g.d))
-    t[order[0]] = np.eye(g.d)
-    for u in order[1:]:
-        t[u] = g.sigma_between(u, parent[u]) @ t[parent[u]]
-    return t
-
-
-def _chords(g, parent):
-    """Mask of the edges outside the spanning tree given by ``parent``."""
-    i, j = g.edge_index.T
-    return (parent[i] != j) & (parent[j] != i)
-
-
-def _chord_products(g):
-    """Tree products ``t`` and the cycle products ``t[i]^T sigma_e t[j]`` of
-    the chords (non-tree edges ``e = (i, j)``) of the BFS tree from vertex 0,
-    in canonical edge order."""
-    order, parent = bfs_tree(g)
-    t = _tree_products(g, order, parent)
-    chord = _chords(g, parent)
-    i, j = g.edge_index[chord].T
-    return t, np.swapaxes(t[i], 1, 2) @ g.sigmas[chord] @ t[j]
+    return _spanning_tree(g, root)[4]
 
 
 def path_product(g: ConnectionGraph, path):
@@ -470,7 +475,7 @@ def fundamental_cycles(g: ConnectionGraph):
     vertex path starting and ending at vertex 0 that traverses the chord.
     Trees yield an empty list.
     """
-    _, parent = bfs_tree(g)
+    _, parent, _, chord, _ = _spanning_tree(g, 0)
 
     def path_to_root(u):
         path = [int(u)]
@@ -480,7 +485,7 @@ def fundamental_cycles(g: ConnectionGraph):
 
     return [
         list(reversed(path_to_root(i))) + path_to_root(j)
-        for i, j in g.edge_index[_chords(g, parent)]
+        for i, j in g.edge_index[chord]
     ]
 
 
@@ -490,9 +495,8 @@ def is_consistent(g: ConnectionGraph, tol=1e-8):
     Checks the fundamental cycles of a BFS spanning tree; these generate
     all rooted cycle products, so the reduction is exact.
     """
-    g.require_valid()
-    _, prods = _chord_products(g)
-    return not (np.abs(prods - np.eye(g.d)) > tol).any()
+    *_, chord, t = _spanning_tree(g, 0)
+    return not (np.abs(_holonomies(g, t, chord) - np.eye(g.d)) > tol).any()
 
 
 def switch(g: ConnectionGraph, tau):

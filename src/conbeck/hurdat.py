@@ -37,11 +37,6 @@ class StormTrack:
     def __len__(self):
         return len(self.times)
 
-    @property
-    def samples(self):
-        """Ordered ``(timestamp, latitude, longitude)`` tuples."""
-        return list(zip(self.times, self.lats.tolist(), self.lons.tolist()))
-
 
 def _parse_coord(token, kind):
     """``"28.0N"`` -> +28.0, ``"94.8W"`` -> -94.8; None if unparseable."""

@@ -190,20 +190,21 @@ def sphere_point(theta, psi):
     )
 
 
-def sample_sphere_patch(
-    n_theta,
-    n_psi,
-    theta_range=(7 * np.pi / 180, 67 * np.pi / 180),
-    psi_range=(-30 * np.pi / 180, 120 * np.pi / 180),
-):
-    """Inclusive grid over a latitude/azimuth rectangle on the unit sphere.
+#: Latitude and west-positive azimuth ranges, in radians, of the North
+#: Atlantic window that :func:`sample_sphere_patch` covers.
+PATCH_THETA_RANGE = (7 * np.pi / 180, 67 * np.pi / 180)
+PATCH_PSI_RANGE = (-30 * np.pi / 180, 120 * np.pi / 180)
 
-    Returns ``(cloud, theta_grid, psi_grid)`` with theta-major ordering.
-    The default rectangle is the North Atlantic window used by the
-    hurricane pipeline.
+
+def sample_sphere_patch(n_theta, n_psi):
+    """Inclusive grid over the North Atlantic window of the unit sphere.
+
+    The window is the latitude/azimuth rectangle ``PATCH_THETA_RANGE`` x
+    ``PATCH_PSI_RANGE`` used by the hurricane pipeline.  Returns ``(cloud,
+    theta_grid, psi_grid)`` with theta-major ordering.
     """
-    theta = np.linspace(theta_range[0], theta_range[1], n_theta)
-    psi = np.linspace(psi_range[0], psi_range[1], n_psi)
+    theta = np.linspace(*PATCH_THETA_RANGE, n_theta)
+    psi = np.linspace(*PATCH_PSI_RANGE, n_psi)
     tt, pp = np.meshgrid(theta, psi, indexing="ij")
     cloud = sphere_point(tt.reshape(-1), pp.reshape(-1))
     return cloud, theta, psi

@@ -94,8 +94,8 @@ def _resolve_lam(g, lam):
     if lam is None:
         lam = g.w_max
     lam = float(lam)
-    if not lam > 0:
-        raise InvalidGraphError(f"regularization lambda must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise InvalidGraphError(f"regularization lambda must be positive and finite, got {lam}")
     return lam
 
 

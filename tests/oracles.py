@@ -1,5 +1,6 @@
-"""Dense test oracles: a random orthogonal matrix and an independent
-primal-route solve of the regularized problem.
+"""Test oracles: a random orthogonal matrix, the tree products as a
+vertex-by-vertex chain, and an independent dense primal-route solve of
+the regularized problem.
 
 :func:`oracle_solve` takes a full dense SVD of B, O((m d)^2) memory, so it
 serves only as a cross-check of :func:`conbeck.solver.solve_regularized`
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from conbeck.errors import FeasibilityError
-from conbeck.graph import ConnectionGraph
+from conbeck.graph import ConnectionGraph, bfs_tree
 from conbeck.solver import _difference, _resolve_lam
 
 
@@ -19,6 +20,17 @@ def random_orthogonal(d, rng):
     """Haar-ish random orthogonal d x d matrix (QR with sign fix)."""
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
+
+
+def sequential_tree_products(g: ConnectionGraph, root):
+    """Tree products along the BFS tree from ``root``, one vertex at a time
+    in visit order, each from its parent's through :meth:`sigma_between`."""
+    order, parent = bfs_tree(g, root)
+    t = np.zeros((g.n, g.d, g.d))
+    t[order[0]] = np.eye(g.d)
+    for u in order[1:]:
+        t[u] = g.sigma_between(u, parent[u]) @ t[parent[u]]
+    return t
 
 
 def oracle_solve(g: ConnectionGraph, alpha, beta, lam=None, eps=1e-9, max_iter=200):

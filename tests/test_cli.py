@@ -158,6 +158,34 @@ def test_switch_writes_graph_and_tau(sign_path_files, capsys):
     assert np.abs(np.abs(tau) - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "{graph}", "--tol", "nan", "--kernel-out", "{out}"], 1),
+        (["feasible", "{graph}", "{alpha}", "{beta}", "--tol", "nan"], 1),
+        (["feasible", "{graph}", "{alpha}", "{beta}", "--tol", "-0.5"], 1),
+        (["buildgraph", "{points}", "--eps", "0.5", "--dim", "0", "-o", "{out}"], 1),
+        (["interp", "{graph}", "{alpha}", "{flow}", "--steps", "-1", "-o", "{out}"], 1),
+        (["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "inf", "-o", "{out}"], 2),
+        (["switch", "{graph}", "--root", "99", "-o", "{out}"], 2),
+        (["switch", "{graph}", "--root", "-1", "-o", "{out}"], 2),
+    ],
+    ids=["check-tol-nan", "feasible-tol-nan", "feasible-tol-negative", "buildgraph-dim-0",
+         "interp-steps-negative", "solve-lambda-inf", "switch-root-99", "switch-root-negative"],
+)
+def test_out_of_range_values_exit_with_one_error_line(diamond_files, capsys, argv, code):
+    tmp, paths = diamond_files
+    io.save_points(tmp / "points.csv", np.eye(3))
+    io.save_flow(tmp / "flow.json", np.zeros((4, 1)))
+    names = {k: str(p) for k, p in paths.items()}
+    names.update(points=tmp / "points.csv", flow=tmp / "flow.json", out=tmp / "out.json")
+    before = sorted(tmp.iterdir())
+    assert main([arg.format(**names) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert sorted(tmp.iterdir()) == before
+
+
 # --------------------------------------------------------------------- solve
 
 

@@ -215,6 +215,13 @@ def test_kernel_structured_memory_linear_in_chords():
     assert peak < (chords * d) ** 2 * 8 / 20
 
 
+def test_flat_kernel_builds_no_incidence_matrix():
+    g, _ = flat_sphere_patch(np.random.default_rng(35))
+    assert g.kernel.dimension == g.d
+    assert "incidence_matrix" not in vars(g)
+    assert "incidence_matrix_T" not in vars(g)
+
+
 def test_pickled_graph_keeps_kernel_not_operators(sign_path):
     sign_path.laplacian_matrix
     basis = sign_path.kernel

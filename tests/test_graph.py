@@ -27,8 +27,14 @@ from conbeck.graph import (
     validate_graph,
 )
 
-from conftest import make_path_graph, queue_bfs, random_connected_graph
-from oracles import random_orthogonal
+from conftest import (
+    curved_sphere_patch,
+    flat_sphere_patch,
+    make_path_graph,
+    queue_bfs,
+    random_connected_graph,
+)
+from oracles import random_orthogonal, sequential_tree_products
 
 
 # ---------------------------------------------------------------- validation
@@ -257,6 +263,32 @@ def test_tree_products_expand_parallel_transport(sign_path):
     assert t[2] == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_tree_products_match_sequential_chain(seed):
+    rng = np.random.default_rng(100 + seed)
+    d = 1 + seed % 4
+    consistent = (None, True, False)[seed % 3]
+    g = random_connected_graph(rng, n=int(rng.integers(4, 30)), d=d,
+                               extra_edges=int(rng.integers(1, 12)), consistent=consistent)
+    root = int(rng.integers(g.n))
+    assert np.array_equal(tree_products(g, root), sequential_tree_products(g, root))
+
+
+def test_tree_products_match_sequential_chain_on_sphere_patches():
+    for g in (flat_sphere_patch(np.random.default_rng(3))[0], curved_sphere_patch()):
+        for root in (0, g.n // 2, g.n - 1):
+            assert np.array_equal(tree_products(g, root), sequential_tree_products(g, root))
+
+
+@pytest.mark.parametrize("root", [-1, 3])
+def test_tree_roots_outside_the_graph_are_refused(sign_path, root):
+    from conbeck.feasibility import feasibility_switching
+
+    for call in (bfs_tree, tree_products, feasibility_switching):
+        with pytest.raises(InvalidGraphError, match=f"root {root} "):
+            call(sign_path, root)
+
+
 # ------------------------------------------------------------------- cycles
 
 
@@ -388,3 +420,14 @@ def test_sigma_between_orientation(sign_path):
     assert sign_path.sigma_between(2, 1) == np.array([[-1.0]])  # transpose of 1x1
     with pytest.raises(InvalidGraphError):
         sign_path.sigma_between(0, 2)
+
+
+def test_sigma_between_repeated_pair_takes_last_stored_orientation_first():
+    # unvalidated: the pair (0, 1) twice, then reversed as (1, 0)
+    sigmas = [[[1.0]], [[2.0]], [[3.0]]]
+    g = ConnectionGraph(2, 1, [(0, 1), (0, 1), (1, 0)], [1.0, 1.0, 1.0], sigmas)
+    assert g.sigma_between(0, 1) == np.array([[2.0]])
+    assert g.sigma_between(1, 0) == np.array([[3.0]])
+    rot = ConnectionGraph(2, 2, [(0, 1), (0, 1)], [1.0, 1.0],
+                          [np.eye(2), [[0.0, -1.0], [1.0, 0.0]]])
+    assert np.array_equal(rot.sigma_between(1, 0), [[0.0, 1.0], [-1.0, 0.0]])
