@@ -70,14 +70,16 @@ def _check_lambda(args, g):
     return True
 
 
-def _at_least(kind, low):
-    """Argparse type: a finite ``kind`` (int or float) of at least ``low``."""
+def _at_least(kind, low, strict=False):
+    """Argparse type: a finite ``kind`` (int or float) of at least ``low``,
+    or above ``low`` when ``strict``."""
 
     def parse(text):
         value = kind(text)
-        if not low <= value < np.inf:
+        if not low <= value < np.inf or (strict and value == low):
+            bound = "above" if strict else "of at least"
             raise argparse.ArgumentTypeError(
-                f"must be a finite number of at least {low}, got {text!r}"
+                f"must be a finite number {bound} {low}, got {text!r}"
             )
         return value
 
@@ -97,9 +99,11 @@ def _solve_options(args):
 def _add_solver_arguments(sub):
     defaults = SolveOptions()
     sub.add_argument("--lambda", dest="lam", type=float, required=True)
-    sub.add_argument("--lr", type=float, default=defaults.learning_rate)
-    sub.add_argument("--epochs", type=int, default=defaults.max_epochs)
-    sub.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
+    sub.add_argument(
+        "--lr", type=_at_least(float, 0, strict=True), default=defaults.learning_rate
+    )
+    sub.add_argument("--epochs", type=_at_least(int, 0), default=defaults.max_epochs)
+    sub.add_argument("--grad-tol", type=_at_least(float, 0), default=defaults.grad_tol)
     sub.add_argument("--allow-small-lambda", action="store_true")
 
 
@@ -382,7 +386,7 @@ def build_parser():
     sub = subs.add_parser("cluster", help="spectral clustering of a distance matrix")
     sub.add_argument("matrix")
     sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--gamma", type=float, default=0.1)
+    sub.add_argument("--gamma", type=_at_least(float, 0), default=0.1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("-o", "--output", required=True)
     sub.set_defaults(func=_cmd_cluster)

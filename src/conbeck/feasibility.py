@@ -15,11 +15,10 @@ as an independent reference.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import eigsh
 
 from .errors import FeasibilityError
 from .graph import ConnectionGraph, _holonomies, _spanning_tree, tree_products
@@ -75,6 +74,8 @@ def kernel_numeric(g: ConnectionGraph):
     independent of the edge count.  No command calls it: it is the dense
     reference that tests hold :func:`kernel_structured` against.
     """
+    import scipy.linalg  # only this reference needs it; keeps CLI start-up light
+
     g.require_valid()
     lap = g.laplacian_matrix.toarray()
     eigs = np.linalg.eigvalsh(lap)
@@ -169,6 +170,18 @@ def require_feasible(g: ConnectionGraph, alpha, beta):
     return basis
 
 
+def __getattr__(name):
+    """Module attribute ``eigsh``, scipy's sparse eigensolver, imported and
+    bound on first access: only a curved connection's kernel and the
+    projection need it, and every command pays for its imports."""
+    if name != "eigsh":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.sparse.linalg import eigsh
+
+    globals()["eigsh"] = eigsh
+    return eigsh
+
+
 #: :func:`project_feasible` removes the modes of L up to this fraction of ``max(lambda_max, 1)``.
 NEAR_KERNEL_RATIO = 1e-3
 
@@ -193,6 +206,7 @@ def _lowest_modes(g: ConnectionGraph):
     from the same vector, so the modes are reproducible bit for bit.
     Reached only through :attr:`ConnectionGraph.near_kernel_modes`.
     """
+    eigsh = sys.modules[__name__].eigsh  # the module attribute, bound on first use
     lap = g.laplacian_matrix
     size = lap.shape[0]
     k = 2 * g.d + 2

@@ -19,8 +19,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import InvalidGraphError
 
@@ -93,18 +91,57 @@ def _diagonal_entries(block_rows, block_cols, values, d):
 
 
 def _csr(parts, shape):
+    import scipy.sparse as sp  # only the operators need it; keeps CLI start-up light
+
     rows, cols, data = (np.concatenate(arrays) for arrays in zip(*parts))
     return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
-def _adjacency(n, edge_index):
-    """Symmetric CSR adjacency of an edge list; each row lists its
-    vertex's neighbours in increasing order."""
+def _neighbours(n, edge_index):
+    """Neighbour table ``(indptr, nbrs)`` of an edge list: vertex ``u``'s
+    distinct neighbours, in increasing order, are ``nbrs[indptr[u]:indptr[u + 1]]``."""
     i, j = np.asarray(edge_index, dtype=int).reshape(-1, 2).T
-    ones = np.ones(i.size)
-    adj = _csr([(i, j, ones), (j, i, ones)], (n, n))
-    adj.sort_indices()
-    return adj
+    pairs = np.sort(np.concatenate([i * n + j, j * n + i]))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    indptr = np.zeros(n + 1, dtype=int)
+    np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+    return indptr, pairs % n
+
+
+def _bfs(n, edge_index, sources):
+    """Multi-source breadth-first search, one level at a time, as
+    ``(order, parent, hops)``: the visit order, BFS parents (``-1`` at the
+    sources and unreached vertices) and hop distances to the nearest
+    source (``-1`` where unreached).  The result is a FIFO queue's:
+    repeated sources count once, in their given order, and each vertex of
+    a level scans its neighbours in increasing order, so a vertex's parent
+    is the first in the queue to reach it."""
+    indptr, nbrs = _neighbours(n, edge_index)
+    frontier = np.array(list(dict.fromkeys(np.asarray(sources, dtype=int).tolist())), dtype=int)
+    parent = np.full(n, -1)
+    hops = np.full(n, -1)
+    hops[frontier] = 0
+    # where in its level's scan each vertex is first found; a vertex is
+    # found in one level only, so this is never reset
+    first = np.full(n, np.iinfo(int).max)
+    levels = [frontier]
+    while frontier.size:
+        starts = indptr[frontier]
+        degrees = indptr[frontier + 1] - starts
+        # positions of the frontier's neighbour lists, concatenated in queue order
+        heads = np.cumsum(degrees) - degrees
+        slots = np.arange(degrees.sum()) + np.repeat(starts - heads, degrees)
+        found, owner = nbrs[slots], np.repeat(frontier, degrees)
+        fresh = hops[found] < 0
+        found, owner = found[fresh], owner[fresh]
+        rank = np.arange(found.size)
+        np.minimum.at(first, found, rank)
+        keep = first[found] == rank
+        frontier = found[keep]
+        parent[frontier] = owner[keep]
+        hops[frontier] = len(levels)
+        levels.append(frontier)
+    return np.concatenate(levels), parent, hops
 
 
 def _index_oriented(edge_index, sigmas):
@@ -226,8 +263,7 @@ class ConnectionGraph:
                 f"edge {e}: sigma is not orthogonal (|sigma^T sigma - I|_max = {defect[e]:.3g})"
             )
         if n > 1 and not out:
-            _, labels = csgraph.connected_components(_adjacency(n, self.edge_index))
-            missing = np.flatnonzero(labels != labels[0])
+            missing = np.flatnonzero(_bfs(n, self.edge_index, [0])[2] < 0)
             if missing.size:
                 out.append(
                     f"graph is disconnected ({missing.size} vertices unreachable "
@@ -402,26 +438,20 @@ def _spanning_tree(g: ConnectionGraph, root):
     g.require_valid()
     if not 0 <= root < g.n:
         raise InvalidGraphError(f"root {root} is not a vertex of a graph with {g.n} vertices")
-    order, parent = csgraph.breadth_first_order(_adjacency(g.n, g.edge_index), root)
-    parent = np.maximum(parent, -1).astype(int)
+    order, parent, depth = _bfs(g.n, g.edge_index, [root])
     i, j = g.edge_index.T
     tail_up, head_up = parent[i] == j, parent[j] == i
     # sigma from each non-root vertex to its parent, read off its parent edge
     up = np.empty((g.n, g.d, g.d))
     up[i[tail_up]] = g.sigmas[tail_up]
     up[j[head_up]] = np.swapaxes(g.sigmas[head_up], 1, 2)
-    # BFS lists each level's children in their parents' order
-    parent_position = np.argsort(order)[parent[order[1:]]]
-    depth = np.zeros(g.n, dtype=int)
     t = np.empty((g.n, g.d, g.d))
     t[root] = np.eye(g.d)
-    start = 1
-    while start < g.n:
-        stop = 1 + np.searchsorted(parent_position, start)
+    # the visit order lists the levels one after another
+    bounds = np.searchsorted(depth[order], np.arange(1, depth.max() + 2))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         level = order[start:stop]
-        depth[level] = depth[parent[level[0]]] + 1
         t[level] = up[level] @ t[parent[level]]
-        start = stop
     return order, parent, depth, ~(tail_up | head_up), t
 
 

@@ -14,10 +14,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import InvalidGraphError
-from .graph import ConnectionGraph, _adjacency
+from .graph import ConnectionGraph, _bfs, _neighbours
 
 __all__ = [
     "GraphSkeleton",
@@ -84,10 +83,14 @@ def epsilon_graph(cloud, eps, weights="inverse"):
     d_edge = dist[keep]
     w = 1.0 / d_edge if weights == "inverse" else np.ones_like(d_edge)
 
-    adj = _adjacency(n, edge_index)
-    isolated = np.flatnonzero(np.diff(adj.indptr) == 0).tolist()
-    components, _ = csgraph.connected_components(adj)
-    return GraphSkeleton(n, edge_index, w, d_edge, isolated, components <= 1)
+    isolated = np.flatnonzero(np.diff(_neighbours(n, edge_index)[0]) == 0).tolist()
+    connected = bool((_bfs(n, edge_index, [0] if n else [])[2] >= 0).all())
+    return GraphSkeleton(n, edge_index, w, d_edge, isolated, connected)
+
+
+#: :func:`tangent_frames` takes the SVDs of vertices of equal degree
+#: together, at most this many neighbour offsets in one batch.
+FRAME_BATCH_OFFSETS = 1 << 14
 
 
 def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
@@ -98,33 +101,41 @@ def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
     ``distance / kernel_scale`` and the top-``d`` left singular vectors
     form the frame.  ``kernel_scale`` defaults to ``sqrt(eps)``, reading
     the bandwidth formula with ``eps`` as the graph radius; pass ``eps``
-    itself for the squared-radius reading.
+    itself for the squared-radius reading.  Vertices of equal degree are
+    solved as one stack of SVDs, in batches of at most
+    ``FRAME_BATCH_OFFSETS`` offsets.
     """
     cloud = np.asarray(cloud, dtype=float)
     n, p = cloud.shape
     if kernel_scale is None:
         kernel_scale = float(np.sqrt(eps))
-    adj = _adjacency(n, skeleton.edge_index)
+    indptr, nbrs = _neighbours(n, skeleton.edge_index)
+    degree = np.diff(indptr)
     frames = np.zeros((n, p, d))
-    for i in range(n):
-        nbrs = adj.indices[adj.indptr[i] : adj.indptr[i + 1]]
-        if len(nbrs) < d:
+    unsupported = np.zeros(n, dtype=bool)
+    for size in np.unique(degree[degree >= d]):
+        group = np.flatnonzero(degree == size)
+        for batch in np.array_split(group, -(-group.size * size // FRAME_BATCH_OFFSETS)):
+            slots = indptr[batch, None] + np.arange(size)
+            offsets = cloud[nbrs[slots]] - cloud[batch, None]  # (k, N, p)
+            u = np.linalg.norm(offsets, axis=-1) / kernel_scale
+            kern = np.where(u < 1.0, 1.0 - u**2, 0.0)
+            unsupported[batch] = ~np.any(kern > 0, axis=-1)
+            weighted = np.swapaxes(offsets, 1, 2) * kern[:, None]  # B_i = X_i D_i, (k, p, N)
+            left, _, _ = np.linalg.svd(weighted, full_matrices=False)
+            frames[batch] = left[:, :, :d]
+    bad = np.flatnonzero((degree < d) | unsupported)
+    if bad.size:
+        i = bad[0]
+        if degree[i] < d:
             raise InvalidGraphError(
-                f"vertex {i} has {len(nbrs)} neighbors; at least {d} are "
+                f"vertex {i} has {degree[i]} neighbors; at least {d} are "
                 "required to estimate a rank-d tangent frame"
             )
-        offsets = cloud[nbrs] - cloud[i]  # (N_i, p)
-        dist = np.linalg.norm(offsets, axis=1)
-        u = dist / kernel_scale
-        kern = np.where(u < 1.0, 1.0 - u**2, 0.0)
-        if not np.any(kern > 0):
-            raise InvalidGraphError(
-                f"vertex {i}: all neighbors fall outside the kernel support "
-                f"(scale {kernel_scale:.3g}); increase kernel_scale"
-            )
-        weighted = offsets.T * kern  # B_i = X_i D_i, shape (p, N_i)
-        left, _, _ = np.linalg.svd(weighted, full_matrices=False)
-        frames[i] = left[:, :d]
+        raise InvalidGraphError(
+            f"vertex {i}: all neighbors fall outside the kernel support "
+            f"(scale {kernel_scale:.3g}); increase kernel_scale"
+        )
     return frames
 
 

@@ -36,7 +36,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .feasibility import require_feasible
@@ -132,6 +131,8 @@ def _component_major(g):
     permuted and the columns of ``B`` relabelled, each keeping its storage
     order, so every product sums the same terms in the same order.
     """
+    import scipy.sparse as sp  # only the ascent needs it; keeps CLI start-up light
+
     m, d = g.m, g.d
     order = (np.arange(m) * d + np.arange(d)[:, None]).ravel()
     relabel = np.empty_like(order)

@@ -13,10 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
-from .graph import ConnectionGraph, _adjacency, apply_B
+from .graph import ConnectionGraph, _bfs, apply_B
 from .solver import SolveOptions, solve_regularized
 
 __all__ = [
@@ -84,9 +83,7 @@ def edge_rings(g: ConnectionGraph, support):
         raise InvalidGraphError("ring partition needs a nonempty support")
     if support.min() < 0 or support.max() >= g.n:
         raise InvalidGraphError("support vertex out of range")
-    dist = csgraph.dijkstra(
-        _adjacency(g.n, g.edge_index), indices=support, unweighted=True, min_only=True
-    ).astype(int)
+    _, _, dist = _bfs(g.n, g.edge_index, support)
     ring = np.minimum(dist[g.edge_index[:, 0]], dist[g.edge_index[:, 1]])
     return RingPartition(dist, ring)
 

@@ -1,6 +1,6 @@
 """Test oracles: a random orthogonal matrix, the tree products as a
-vertex-by-vertex chain, and an independent dense primal-route solve of
-the regularized problem.
+vertex-by-vertex chain, tangent frames one vertex at a time, and an
+independent dense primal-route solve of the regularized problem.
 
 :func:`oracle_solve` takes a full dense SVD of B, O((m d)^2) memory, so it
 serves only as a cross-check of :func:`conbeck.solver.solve_regularized`
@@ -31,6 +31,23 @@ def sequential_tree_products(g: ConnectionGraph, root):
     for u in order[1:]:
         t[u] = g.sigma_between(u, parent[u]) @ t[parent[u]]
     return t
+
+
+def per_vertex_tangent_frames(cloud, skeleton, d, eps):
+    """Local PCA frames as :func:`conbeck.manifold.tangent_frames` defines
+    them, one SVD per vertex over its neighbours in increasing order."""
+    cloud = np.asarray(cloud, dtype=float)
+    nbrs = [set() for _ in range(cloud.shape[0])]
+    for i, j in skeleton.edge_index.tolist():
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    frames = np.zeros((cloud.shape[0], cloud.shape[1], d))
+    for i, near in enumerate(nbrs):
+        offsets = cloud[sorted(near)] - cloud[i]
+        u = np.linalg.norm(offsets, axis=1) / np.sqrt(eps)
+        weighted = offsets.T * np.where(u < 1.0, 1.0 - u**2, 0.0)
+        frames[i] = np.linalg.svd(weighted, full_matrices=False)[0][:, :d]
+    return frames
 
 
 def oracle_solve(g: ConnectionGraph, alpha, beta, lam=None, eps=1e-9, max_iter=200):

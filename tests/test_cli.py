@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 import subprocess
 import sys
@@ -184,6 +185,22 @@ def test_out_of_range_values_exit_with_one_error_line(diamond_files, capsys, arg
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert sorted(tmp.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--epochs", "-1"), ("--grad-tol", "nan"), ("--grad-tol", "-1e-3"), ("--grad-tol", "inf"),
+     ("--lr", "nan"), ("--lr", "0"), ("--lr", "-0.1"), ("--lr", "inf")],
+)
+def test_out_of_range_solver_flags_exit_with_one_error_line(diamond_files, capsys, flag, value):
+    # before the bounds: --epochs -1 wrote an all-zero flow, --grad-tol nan
+    # ran every epoch, --lr nan diverged at epoch 1
+    setting = f"{flag}={value}"
+    argv = ["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "1", "-o", "{out}", setting]
+    test_out_of_range_values_exit_with_one_error_line(diamond_files, capsys, argv, 1)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["distmat", "g.json", "fields", "--lambda", "1", setting])
+    capsys.readouterr()
 
 
 # --------------------------------------------------------------------- solve
@@ -583,6 +600,17 @@ def test_cluster_handles_inf_distances(tmp_path, capsys):
     assert labels[0] != labels[1]
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "-0.5"])
+def test_cluster_refuses_a_gamma_outside_zero_to_inf(tmp_path, capsys, gamma):
+    # a NaN gamma made every affinity NaN, and labels were still written
+    dp, lp = tmp_path / "D.csv", tmp_path / "labels.csv"
+    io.save_matrix(dp, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert main(["cluster", str(dp), "--k", "2", f"--gamma={gamma}", "-o", str(lp)]) == 1
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert not lp.exists()
+
+
 # -------------------------------------------------------------------- hurdat
 
 
@@ -691,3 +719,69 @@ def test_cli_import_leaves_scipy_spatial_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+#: Prints the sorted names of the loaded scipy modules as the last line.
+LIST_SCIPY = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+
+
+def _run_commands(runs):
+    """Exit codes of ``main`` on each argument list, run in one fresh
+    interpreter, and the scipy modules it loaded."""
+    code = "\n".join([
+        "import json, sys",
+        "from conbeck.cli import main",
+        f"print(json.dumps([main(argv) for argv in {runs!r}]))",
+        LIST_SCIPY,
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *printed, codes, modules = proc.stdout.splitlines()
+    return "\n".join(printed), json.loads(codes), json.loads(modules)
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys, conbeck.cli\n{LIST_SCIPY}"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_flat_verdicts_and_cluster_load_no_scipy(tmp_path):
+    # a flat connection's kernel is its parallel sections: no operator, no eigensolver
+    rng = np.random.default_rng(39)
+    flat, _ = flat_sphere_patch(rng)
+    basis = flat.kernel.vectors
+    alpha, noise = rng.standard_normal((2, flat.n, 2))
+    feasible = alpha + noise - np.einsum("k,knd->nd", np.einsum("knd,nd->k", basis, noise), basis)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("g", "a", "b", "c", "kernel")}
+    io.save_graph(paths["g"], flat)
+    io.save_field(paths["a"], alpha)
+    io.save_field(paths["b"], feasible)
+    io.save_field(paths["c"], alpha + 3.0 * basis[0])
+    dist = np.full((4, 4), 5.0)
+    dist[:2, :2] = dist[2:, 2:] = 0.5
+    np.fill_diagonal(dist, 0.0)
+    io.save_matrix(tmp_path / "D.csv", dist)
+    out, codes, modules = _run_commands([
+        ["check", paths["g"], "--kernel-out", paths["kernel"]],
+        ["feasible", paths["g"], paths["a"], paths["b"]],
+        ["feasible", paths["g"], paths["a"], paths["c"]],
+        ["cluster", str(tmp_path / "D.csv"), "--k", "2", "-o", str(tmp_path / "labels.csv")],
+    ])
+    assert codes == [0, 0, 3, 0]
+    assert "kernel dimension: 2" in out
+    assert modules == []
+
+
+def test_check_on_a_curved_connection_loads_only_the_operators_and_eigensolver(tmp_path):
+    gp = tmp_path / "curved.json"
+    io.save_graph(gp, curved_sphere_patch())
+    out, codes, modules = _run_commands([["check", str(gp)]])
+    assert codes == [0]
+    assert "kernel dimension: 0" in out
+    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(modules)
+    assert not {"scipy.optimize", "scipy.spatial"} & set(modules)

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conbeck.errors import InvalidGraphError
 from conbeck.graph import (
     ConnectionGraph,
+    _bfs,
     apply_B,
     apply_BT,
     bfs_tree,
@@ -413,6 +416,32 @@ def test_bfs_tree_matches_queue_bfs(seed):
     got_order, got_parent = bfs_tree(g, root)
     assert got_order == order
     assert got_parent.tolist() == parent
+
+
+@st.composite
+def bfs_instances(draw):
+    """A graph on up to 20 vertices, its edges in random order and
+    orientation, connected through a random spanning tree or not, and a
+    list of sources that may repeat."""
+    n = draw(st.integers(1, 20))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        edges = list(dict.fromkeys(edges + tree))
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in draw(st.permutations(edges))]
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    return n, edges, sources
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(bfs_instances())
+def test_bfs_is_the_queue_bfs(instance):
+    n, edges, sources = instance
+    edge_index = np.array(edges, dtype=int).reshape(-1, 2)
+    g = ConnectionGraph(n, 1, edge_index, np.ones(len(edges)), np.ones((len(edges), 1, 1)))
+    order, parent, hops = _bfs(n, edge_index, sources)
+    assert (order.tolist(), parent.tolist(), hops.tolist()) == queue_bfs(g, sources)
 
 
 def test_sigma_between_orientation(sign_path):

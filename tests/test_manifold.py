@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conbeck import manifold
 from conbeck.errors import InvalidGraphError
 from conbeck.feasibility import kernel_numeric
 from conbeck.graph import validate_graph
 from conbeck.manifold import (
+    GraphSkeleton,
     epsilon_graph,
     lift_to_ambient,
     procrustes_connection,
@@ -19,7 +21,7 @@ from conbeck.manifold import (
     tangent_frames,
 )
 
-from oracles import random_orthogonal
+from oracles import per_vertex_tangent_frames, random_orthogonal
 
 
 # -------------------------------------------------------------- epsilon graph
@@ -114,6 +116,30 @@ def test_tangent_frames_too_few_neighbors_rejected():
     with pytest.raises(InvalidGraphError) as err:
         tangent_frames(cloud, sk, d=2, eps=1.5)
     assert "neighbors" in str(err.value)
+
+
+@pytest.mark.parametrize("batch", [1, 7, manifold.FRAME_BATCH_OFFSETS])
+def test_tangent_frames_equal_one_svd_per_vertex(monkeypatch, batch):
+    # the patch's border vertices have fewer neighbours: several degree
+    # groups, split into batches of at most ``batch`` offsets
+    monkeypatch.setattr(manifold, "FRAME_BATCH_OFFSETS", batch)
+    cloud, _, _ = sample_sphere_patch(10, 20)
+    sk = epsilon_graph(cloud, eps=0.25)
+    assert np.unique(np.bincount(sk.edge_index.ravel())).size > 3
+    frames = tangent_frames(cloud, sk, d=2, eps=0.25)
+    assert np.array_equal(frames, per_vertex_tangent_frames(cloud, sk, 2, 0.25))
+
+
+def test_tangent_frames_report_the_lowest_failing_vertex():
+    # vertex 0 has enough neighbours but none inside the kernel support;
+    # vertex 3 has too few: the vertex-by-vertex order reports vertex 0
+    cloud = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [10.0, 10.0]])
+    sk = GraphSkeleton(4, np.array([[0, 1], [0, 2], [1, 2], [2, 3]]), np.ones(4), np.ones(4))
+    with pytest.raises(InvalidGraphError, match="vertex 0: all neighbors fall outside"):
+        tangent_frames(cloud, sk, d=2, eps=1.0)
+    sk = GraphSkeleton(4, np.array([[0, 3], [1, 2], [1, 3], [2, 3]]), np.ones(4), np.ones(4))
+    with pytest.raises(InvalidGraphError, match="vertex 0 has 1 neighbors"):
+        tangent_frames(cloud, sk, d=2, eps=1.0)
 
 
 def test_tangent_frames_kernel_scale_knob():
