@@ -358,7 +358,7 @@ def build_parser():
 
     sub = subs.add_parser("buildgraph", help="build a connection graph from points")
     sub.add_argument("points")
-    sub.add_argument("--eps", type=float, required=True)
+    sub.add_argument("--eps", type=_at_least(float, 0, strict=True), required=True)
     sub.add_argument("--dim", type=_at_least(int, 1), required=True)
     sub.add_argument("--weights", choices=["inverse", "unit"], default="inverse")
     sub.add_argument("-o", "--output", required=True)
@@ -379,7 +379,7 @@ def build_parser():
     sub.add_argument("fields_dir")
     _add_solver_arguments(sub)
     sub.add_argument("--project-kernel", action="store_true")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=_at_least(int, 1), default=1)
     sub.add_argument("-o", "--output", required=True)
     sub.set_defaults(func=_cmd_distmat)
 
@@ -387,7 +387,7 @@ def build_parser():
     sub.add_argument("matrix")
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--gamma", type=_at_least(float, 0), default=0.1)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_at_least(int, 0), default=0)
     sub.add_argument("-o", "--output", required=True)
     sub.set_defaults(func=_cmd_cluster)
 

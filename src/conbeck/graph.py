@@ -109,39 +109,27 @@ def _neighbours(n, edge_index):
 
 
 def _bfs(n, edge_index, sources):
-    """Multi-source breadth-first search, one level at a time, as
-    ``(order, parent, hops)``: the visit order, BFS parents (``-1`` at the
-    sources and unreached vertices) and hop distances to the nearest
-    source (``-1`` where unreached).  The result is a FIFO queue's:
-    repeated sources count once, in their given order, and each vertex of
-    a level scans its neighbours in increasing order, so a vertex's parent
-    is the first in the queue to reach it."""
-    indptr, nbrs = _neighbours(n, edge_index)
-    frontier = np.array(list(dict.fromkeys(np.asarray(sources, dtype=int).tolist())), dtype=int)
-    parent = np.full(n, -1)
-    hops = np.full(n, -1)
-    hops[frontier] = 0
-    # where in its level's scan each vertex is first found; a vertex is
-    # found in one level only, so this is never reset
-    first = np.full(n, np.iinfo(int).max)
-    levels = [frontier]
-    while frontier.size:
-        starts = indptr[frontier]
-        degrees = indptr[frontier + 1] - starts
-        # positions of the frontier's neighbour lists, concatenated in queue order
-        heads = np.cumsum(degrees) - degrees
-        slots = np.arange(degrees.sum()) + np.repeat(starts - heads, degrees)
-        found, owner = nbrs[slots], np.repeat(frontier, degrees)
-        fresh = hops[found] < 0
-        found, owner = found[fresh], owner[fresh]
-        rank = np.arange(found.size)
-        np.minimum.at(first, found, rank)
-        keep = first[found] == rank
-        frontier = found[keep]
-        parent[frontier] = owner[keep]
-        hops[frontier] = len(levels)
-        levels.append(frontier)
-    return np.concatenate(levels), parent, hops
+    """Multi-source breadth-first search over a FIFO queue, O(n + m) at any
+    depth, as ``(order, parent, hops)``: the visit order, BFS parents
+    (``-1`` at the sources and unreached vertices) and hop distances to the
+    nearest source (``-1`` where unreached).  Repeated sources count once,
+    in their given order, and each vertex scans its neighbours in
+    increasing order, so a vertex's parent is the first in the queue to
+    reach it."""
+    indptr, nbrs = (a.tolist() for a in _neighbours(n, edge_index))
+    order = list(dict.fromkeys(np.asarray(sources, dtype=int).tolist()))
+    parent = [-1] * n
+    hops = [-1] * n
+    for s in order:
+        hops[s] = 0
+    for u in order:  # the order list is the queue: the loop reaches what it appends
+        step = hops[u] + 1
+        for v in nbrs[indptr[u] : indptr[u + 1]]:
+            if hops[v] < 0:
+                hops[v] = step
+                parent[v] = u
+                order.append(v)
+    return np.array(order, dtype=int), np.array(parent, dtype=int), np.array(hops, dtype=int)
 
 
 def _index_oriented(edge_index, sigmas):

@@ -38,34 +38,37 @@ class StormTrack:
         return len(self.times)
 
 
+@dataclass
+class _Storm:
+    """A storm block being read: its header, the rows counted against its
+    declared count so far, and the samples kept."""
+
+    id: str
+    name: str
+    lineno: int
+    declared: int
+    seen: int = 0
+    times: list = field(default_factory=list)
+    lats: list = field(default_factory=list)
+    lons: list = field(default_factory=list)
+
+
+#: Sign of each hemisphere letter, by coordinate.
+_HEMISPHERE_SIGN = {"latitude": {"N": 1.0, "S": -1.0}, "longitude": {"E": 1.0, "W": -1.0}}
+
+
 def _parse_coord(token, kind):
-    """``"28.0N"`` -> +28.0, ``"94.8W"`` -> -94.8; None if unparseable."""
+    """``"28.0N"`` -> +28.0, ``"94.8W"`` -> -94.8, longitudes wrapped into
+    (-180, 180]; raise ValueError if unparseable or out of range."""
     match = _COORD_RE.match(token.strip())
-    if not match:
-        return None
-    value = float(match.group(1))
-    hemi = match.group(2)
-    if kind == "lat":
-        if hemi == "N":
-            signed = value
-        elif hemi == "S":
-            signed = -value
-        else:
-            return None
-        if not -90.0 <= signed <= 90.0:
-            return None
-        return signed
-    if hemi == "E":
-        signed = value
-    elif hemi == "W":
-        signed = -value
-    else:
-        return None
-    # wrap dateline-crossing longitudes into (-180, 180]
-    signed = (signed + 180.0) % 360.0 - 180.0
-    if signed == -180.0:
-        signed = 180.0
-    return signed
+    sign = _HEMISPHERE_SIGN[kind].get(match.group(2)) if match else None
+    if sign is None or (kind == "latitude" and float(match.group(1)) > 90.0):
+        raise ValueError(f"bad {kind} {token.strip()!r}")
+    value = sign * float(match.group(1))
+    if kind == "longitude":
+        value = (value + 180.0) % 360.0 - 180.0  # dateline-crossing values wrap
+        value = 180.0 if value == -180.0 else value
+    return value
 
 
 def _parse_row(parts):
@@ -73,13 +76,7 @@ def _parse_row(parts):
     if len(parts) < 6:
         raise ValueError(f"expected at least 6 fields, got {len(parts)}")
     when = datetime.strptime(parts[0].strip() + parts[1].strip(), "%Y%m%d%H%M")
-    lat = _parse_coord(parts[4], "lat")
-    if lat is None:
-        raise ValueError(f"bad latitude {parts[4].strip()!r}")
-    lon = _parse_coord(parts[5], "lon")
-    if lon is None:
-        raise ValueError(f"bad longitude {parts[5].strip()!r}")
-    return when, lat, lon
+    return when, _parse_coord(parts[4], "latitude"), _parse_coord(parts[5], "longitude")
 
 
 def hurdat2_parse(text):
@@ -94,41 +91,28 @@ def hurdat2_parse(text):
     tracks = []
     issues = []
 
-    current = None  # (id, name, header_lineno, declared, times, lats, lons)
-
-    def close(found):
-        if current is None:
+    def close(storm):
+        if storm is None:
             return
-        storm_id, name, header_lineno, declared, times, lats, lons = current
-        if found != declared:
+        if storm.seen != storm.declared:
             issues.append(
-                f"line {header_lineno}: header {storm_id} declares {declared} "
-                f"rows, found {found}"
+                f"line {storm.lineno}: header {storm.id} declares {storm.declared} "
+                f"rows, found {storm.seen}"
             )
-        tracks.append(
-            StormTrack(
-                id=storm_id,
-                name=name,
-                times=tuple(times),
-                lats=np.array(lats, dtype=float),
-                lons=np.array(lons, dtype=float),
-            )
-        )
+        lats, lons = (np.array(values, dtype=float) for values in (storm.lats, storm.lons))
+        tracks.append(StormTrack(storm.id, storm.name, tuple(storm.times), lats, lons))
 
-    remaining = 0
-    found = 0
+    storm = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split(",")
         first = parts[0].strip()
         if _HEADER_RE.match(first):
-            close(found)
-            current = None
+            close(storm)
+            storm = None
             if len(parts) < 3:
                 issues.append(f"line {lineno}: header {first} is missing fields")
-                remaining = 0
-                found = 0
                 continue
             try:
                 declared = int(parts[2].strip())
@@ -138,37 +122,33 @@ def hurdat2_parse(text):
                     f"{parts[2].strip()!r}"
                 )
                 declared = 0
-            current = (first, parts[1].strip(), lineno, declared, [], [], [])
-            remaining = declared
-            found = 0
+            storm = _Storm(first, parts[1].strip(), lineno, declared)
             continue
-        if current is None:
+        if storm is None:
             issues.append(f"line {lineno}: data row outside any storm block")
             continue
-        if remaining <= 0:
+        if storm.seen >= storm.declared:
             issues.append(
                 f"line {lineno}: data row beyond the declared count for "
-                f"header {current[0]}"
+                f"header {storm.id}"
             )
             continue
-        remaining -= 1
-        found += 1
+        storm.seen += 1
         try:
             when, lat, lon = _parse_row(parts)
         except ValueError as exc:
             issues.append(f"line {lineno}: row dropped ({exc})")
             continue
-        times = current[4]
-        if times and when <= times[-1]:
+        if storm.times and when <= storm.times[-1]:
             issues.append(
                 f"line {lineno}: row dropped (timestamp {when:%Y%m%d %H%M} "
                 f"not increasing)"
             )
             continue
-        times.append(when)
-        current[5].append(lat)
-        current[6].append(lon)
-    close(found)
+        storm.times.append(when)
+        storm.lats.append(lat)
+        storm.lons.append(lon)
+    close(storm)
     return tracks, issues
 
 

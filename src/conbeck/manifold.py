@@ -107,6 +107,8 @@ def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
     """
     cloud = np.asarray(cloud, dtype=float)
     n, p = cloud.shape
+    if d > p:
+        raise InvalidGraphError(f"intrinsic dimension d={d} exceeds ambient p={p}")
     if kernel_scale is None:
         kernel_scale = float(np.sqrt(eps))
     indptr, nbrs = _neighbours(n, skeleton.edge_index)

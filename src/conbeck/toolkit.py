@@ -151,7 +151,8 @@ def distance_matrix(
     the solver's feasibility test refuses them before any ascent, so each
     pair is tested once.  The diagonal is exactly zero.  The kernel is
     computed once, as ``g.kernel``.  With ``jobs > 1`` the pairwise
-    solves run in a process pool (they are independent): each worker
+    solves (they are independent) run in a pool of ``min(jobs, pairs)``
+    processes, or serially when that is one: each worker
     receives the graph, its kernel and the fields once, and a task is just
     a pair of indices.  Results are deterministic either way.  A pair that
     exhausts the epoch budget raises :class:`NonConvergenceError` unless
@@ -176,10 +177,11 @@ def distance_matrix(
         dist[a, b] = dist[b, a] = cost
         conv[a, b] = conv[b, a] = converged
 
-    if jobs and jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         g.kernel  # once here, not once per worker: the pickle carries it
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(g, fields, opts)
+            max_workers=workers, initializer=_init_worker, initargs=(g, fields, opts)
         ) as pool:
             results = pool.map(_solve_pair_in_worker, tasks)
             for (a, b), (cost, converged) in zip(tasks, results):

@@ -166,12 +166,17 @@ def test_switch_writes_graph_and_tau(sign_path_files, capsys):
         (["feasible", "{graph}", "{alpha}", "{beta}", "--tol", "nan"], 1),
         (["feasible", "{graph}", "{alpha}", "{beta}", "--tol", "-0.5"], 1),
         (["buildgraph", "{points}", "--eps", "0.5", "--dim", "0", "-o", "{out}"], 1),
+        (["buildgraph", "{points}", "--eps=-1", "--dim", "2", "-o", "{out}"], 1),
+        (["buildgraph", "{points}", "--eps", "nan", "--dim", "2", "-o", "{out}"], 1),
+        (["buildgraph", "{points}", "--eps", "inf", "--dim", "2", "-o", "{out}"], 1),
+        (["buildgraph", "{points}", "--eps", "0", "--dim", "2", "-o", "{out}"], 1),
         (["interp", "{graph}", "{alpha}", "{flow}", "--steps", "-1", "-o", "{out}"], 1),
         (["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "inf", "-o", "{out}"], 2),
         (["switch", "{graph}", "--root", "99", "-o", "{out}"], 2),
         (["switch", "{graph}", "--root", "-1", "-o", "{out}"], 2),
     ],
     ids=["check-tol-nan", "feasible-tol-nan", "feasible-tol-negative", "buildgraph-dim-0",
+         "buildgraph-eps-negative", "buildgraph-eps-nan", "buildgraph-eps-inf", "buildgraph-eps-0",
          "interp-steps-negative", "solve-lambda-inf", "switch-root-99", "switch-root-negative"],
 )
 def test_out_of_range_values_exit_with_one_error_line(diamond_files, capsys, argv, code):
@@ -361,6 +366,16 @@ def test_buildgraph_sphere_patch(tmp_path, capsys):
     assert frames.shape == (160, 3, 2)
 
 
+
+def test_buildgraph_refuses_a_dim_above_the_points_dimension(tmp_path, capsys):
+    cloud, _, _ = sample_sphere_patch(6, 8)
+    pts, gp = tmp_path / "points.csv", tmp_path / "graph.json"
+    io.save_points(pts, cloud)
+    assert main(["buildgraph", str(pts), "--eps", "0.5", "--dim", "4", "-o", str(gp)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error:" in err[0] and "d=4" in err[0] and "p=3" in err[0]
+    assert sorted(tmp_path.iterdir()) == [pts]
+
 # -------------------------------------------------------------------- interp
 
 
@@ -439,6 +454,18 @@ def test_distmat_project_kernel_and_jobs(tmp_path, diamond, capsys):
     capsys.readouterr()
     assert o1.read_bytes() == o2.read_bytes()
 
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_distmat_refuses_jobs_below_one(tmp_path, diamond, capsys, jobs):
+    gp, out = tmp_path / "g.json", tmp_path / "D.csv"
+    io.save_graph(gp, diamond)
+    fields_dir = _write_diamond_fields(tmp_path, diamond)
+    argv = ["distmat", str(gp), str(fields_dir), "--lambda", "1.0", f"--jobs={jobs}", "-o", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert not out.exists()
 
 def test_kernel_commands_run_without_dense_eigensolver(tmp_path, capsys, monkeypatch):
     # check, feasible and distmat --project-kernel on patches above ARPACK's
@@ -610,6 +637,15 @@ def test_cluster_refuses_a_gamma_outside_zero_to_inf(tmp_path, capsys, gamma):
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert not lp.exists()
 
+
+
+def test_cluster_refuses_a_negative_seed(tmp_path, capsys):
+    dp, lp = tmp_path / "D.csv", tmp_path / "labels.csv"
+    io.save_matrix(dp, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert main(["cluster", str(dp), "--k", "2", "--seed=-1", "-o", str(lp)]) == 1
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert not lp.exists()
 
 # -------------------------------------------------------------------- hurdat
 

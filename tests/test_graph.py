@@ -29,6 +29,7 @@ from conbeck.graph import (
     tree_products,
     validate_graph,
 )
+from conbeck.toolkit import edge_rings
 
 from conftest import (
     curved_sphere_patch,
@@ -443,6 +444,19 @@ def test_bfs_is_the_queue_bfs(instance):
     order, parent, hops = _bfs(n, edge_index, sources)
     assert (order.tolist(), parent.tolist(), hops.tolist()) == queue_bfs(g, sources)
 
+
+
+def test_traversals_on_a_path_five_thousand_levels_deep():
+    n, d = 5000, 2
+    rng = np.random.default_rng(5)
+    sigmas = np.stack([random_orthogonal(d, rng) for _ in range(n - 1)])
+    g = ConnectionGraph.from_edges(n, d, [(e, e + 1, 1.0, sigmas[e]) for e in range(n - 1)])
+    order, parent, hops = _bfs(n, g.edge_index, [0])
+    assert order.tolist() == list(range(n))
+    assert hops.tolist() == list(range(n))
+    assert parent.tolist() == list(range(-1, n - 1))
+    assert edge_rings(g, [0]).edge_ring.tolist() == list(range(n - 1))
+    assert np.array_equal(tree_products(g, 0), sequential_tree_products(g, 0))
 
 def test_sigma_between_orientation(sign_path):
     assert sign_path.sigma_between(1, 2) == np.array([[-1.0]])

@@ -116,6 +116,36 @@ def test_parse_row_outside_block():
     assert len(issues) == 1 and "line 1" in issues[0]
 
 
+
+HEADER = "AL092011, IRENE, 1,\n"
+ROW = "20110821, 0600,  , TS, {lat}, {lon}, 45, 1006,\n"
+
+
+@pytest.mark.parametrize(
+    "text, issue",
+    [
+        ("AL092011, IRENE, 3,\n" + ROW.format(lat="15.0N", lon="59.0W"),
+         "line 1: header AL092011 declares 3 rows, found 1"),
+        ("AL092011, IRENE, -1,\n", "line 1: header AL092011 declares -1 rows, found 0"),
+        ("AL092011, IRENE\n", "line 1: header AL092011 is missing fields"),
+        ("AL092011, IRENE, x,\n", "line 1: header AL092011 has a non-integer row count 'x'"),
+        (ROW.format(lat="15.0N", lon="59.0W"), "line 1: data row outside any storm block"),
+        (HEADER + 2 * ROW.format(lat="15.0N", lon="59.0W"),
+         "line 3: data row beyond the declared count for header AL092011"),
+        (HEADER + "20110821, 0600,  , TS\n",
+         "line 2: row dropped (expected at least 6 fields, got 4)"),
+        (HEADER + ROW.format(lat="15.0W", lon="59.0W"), "line 2: row dropped (bad latitude '15.0W')"),
+        (HEADER + ROW.format(lat="90.5S", lon="59.0W"), "line 2: row dropped (bad latitude '90.5S')"),
+        (HEADER + ROW.format(lat="-5N", lon="59.0W"), "line 2: row dropped (bad latitude '-5N')"),
+        (HEADER + ROW.format(lat="15.0N", lon="59.0N"),
+         "line 2: row dropped (bad longitude '59.0N')"),
+        ("AL092011, IRENE, 2,\n" + 2 * ROW.format(lat="15.0N", lon="59.0W"),
+         "line 3: row dropped (timestamp 20110821 0600 not increasing)"),
+    ],
+)
+def test_parse_diagnostic_text(text, issue):
+    assert hurdat2_parse(text)[1] == [issue]
+
 def test_parse_dateline_wrap():
     text = "CP011900, TEST, 1,\n19000101, 0000,  , TS, 10.0N, 200.0W, 0, 0,\n"
     tracks, issues = hurdat2_parse(text)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conbeck import feasibility
+from conbeck import feasibility, toolkit
 from conbeck.errors import InvalidGraphError, NonConvergenceError
 from conbeck.graph import ConnectionGraph, apply_B
 from conbeck.solver import SolveOptions, solve_regularized, stable_learning_rate
@@ -208,6 +208,37 @@ def test_distance_matrix_parallel_matches_serial(sign_path):
     parallel = distance_matrix(sign_path, fields, opts, jobs=2)
     assert np.array_equal(serial, parallel)
 
+
+
+class RecordingPool:
+    """In-process stand-in for ``ProcessPoolExecutor`` that records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("k, jobs, sizes", [(3, 64, [3]), (3, 2, [2]), (2, 8, [])])
+def test_distance_matrix_starts_at_most_one_worker_per_pair(sign_path, monkeypatch, k, jobs, sizes):
+    monkeypatch.setattr(toolkit, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(toolkit, "_WORKER_STATE", None)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    fields = [pseudo_dirac(3, 1, node, 0) for node in range(k)]
+    opts = SolveOptions(lam=1.0, max_epochs=50000)
+    dist = distance_matrix(sign_path, fields, opts, jobs=jobs)
+    assert RecordingPool.sizes == sizes
+    assert np.array_equal(dist, distance_matrix(sign_path, fields, opts, jobs=1))
 
 def test_distance_matrix_computes_kernel_once(sign_path, monkeypatch):
     calls = []
