@@ -285,6 +285,11 @@ def _cmd_hurdat(args):
     for issue in issues:
         _err(f"{args.tracks}: {issue}")
     cloud = io.load_points(args.mesh)
+    if cloud.shape[1] != 3:
+        raise FormatError(
+            f"{args.mesh}: mesh points are in dimension {cloud.shape[1]}; "
+            "storm positions need 3"
+        )
     frames = io.load_frames(args.frames)
     if frames.shape[0] != cloud.shape[0] or frames.shape[1] != cloud.shape[1]:
         raise FormatError(

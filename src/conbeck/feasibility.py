@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError
-from .graph import ConnectionGraph, _holonomies, _spanning_tree, tree_products
+from .graph import ConnectionGraph, _holonomies, tree_products
 
 __all__ = [
     "KernelBasis",
@@ -107,7 +107,7 @@ def kernel_structured(g: ConnectionGraph):
     :attr:`ConnectionGraph.kernel` caches the result.
     """
     d = g.d
-    _, _, depth, chord, t = _spanning_tree(g, 0)
+    _, _, depth, chord, t = g._tree
     defects = (_holonomies(g, t, chord) - np.eye(d)).reshape(-1, d) / np.sqrt(g.n)
     flat = not chord.any() or np.linalg.norm(defects, 2) <= KERNEL_TOL
     if flat and _at_most_d_kernel_modes(g, depth.max()):

@@ -333,6 +333,18 @@ class ConnectionGraph:
         return _csr(parts, (n * d, n * d))
 
     @cached_property
+    def _tree(self):
+        """The BFS spanning tree from vertex 0 as :func:`_spanning_tree`
+        returns it, computed once and read-only; :func:`is_consistent`,
+        :func:`fundamental_cycles` and :attr:`kernel` all read it.  Not
+        pickled.
+        """
+        tree = _spanning_tree(self, 0)
+        for arr in tree:
+            arr.setflags(write=False)
+        return tree
+
+    @cached_property
     def kernel(self):
         """Kernel basis of ``L`` at the default tolerance, computed once.
 
@@ -493,7 +505,7 @@ def fundamental_cycles(g: ConnectionGraph):
     vertex path starting and ending at vertex 0 that traverses the chord.
     Trees yield an empty list.
     """
-    _, parent, _, chord, _ = _spanning_tree(g, 0)
+    _, parent, _, chord, _ = g._tree
 
     def path_to_root(u):
         path = [int(u)]
@@ -513,7 +525,7 @@ def is_consistent(g: ConnectionGraph, tol=1e-8):
     Checks the fundamental cycles of a BFS spanning tree; these generate
     all rooted cycle products, so the reduction is exact.
     """
-    *_, chord, t = _spanning_tree(g, 0)
+    *_, chord, t = g._tree
     return not (np.abs(_holonomies(g, t, chord) - np.eye(g.d)) > tol).any()
 
 

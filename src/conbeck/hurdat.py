@@ -16,7 +16,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import FormatError
-from .manifold import project_to_tangent, sphere_point
+from .manifold import _nearest, project_to_tangent, sphere_point
 
 __all__ = ["StormTrack", "hurdat2_parse", "track_to_field"]
 
@@ -158,8 +158,9 @@ def track_to_field(track, frames, cloud, normalize_before_average=True):
     Track positions map to the unit sphere, forward differences
     ``y_{k+1} - y_k`` give displacement vectors (zero displacements are
     dropped), each vector is snapped to the mesh node nearest its base
-    point, vectors landing on one node are averaged, and the result is
-    projected to tangent coordinates through the node frames.
+    point (the lowest index among equally near nodes), vectors landing on
+    one node are averaged, and the result is projected to tangent
+    coordinates through the node frames.  The mesh must lie in R^3.
 
     With ``normalize_before_average`` each displacement is scaled to unit
     length before averaging (the default); otherwise raw displacements are
@@ -171,7 +172,9 @@ def track_to_field(track, frames, cloud, normalize_before_average=True):
         )
     cloud = np.asarray(cloud, dtype=float)
     frames = np.asarray(frames, dtype=float)
-    n = cloud.shape[0]
+    n, p = cloud.shape
+    if p != 3:
+        raise FormatError(f"mesh points are in dimension {p}; storm positions need 3")
     theta = np.deg2rad(track.lats)
     psi = -np.deg2rad(track.lons)  # stored east-positive; psi is west-positive
     points = sphere_point(theta, psi)
@@ -180,14 +183,12 @@ def track_to_field(track, frames, cloud, normalize_before_average=True):
     keep = norms > 1e-12
     diffs = diffs[keep]
     bases = points[:-1][keep]
-    sums = np.zeros((n, cloud.shape[1]))
+    sums = np.zeros((n, p))
     counts = np.zeros(n)
     if diffs.shape[0]:
         if normalize_before_average:
             diffs = diffs / norms[keep, None]
-        from scipy.spatial import cKDTree  # only snapping needs it; keeps CLI start-up light
-
-        nearest = cKDTree(cloud).query(bases)[1]
+        nearest = _nearest(bases, cloud)
         np.add.at(sums, nearest, diffs)
         np.add.at(counts, nearest, 1.0)
     hit = counts > 0

@@ -10,6 +10,8 @@ patch provide reproducible inputs.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,13 +49,77 @@ class GraphSkeleton:
         return self.edge_index.shape[0]
 
 
+#: :func:`_grid_cells` makes its cells wider than the search radius by this
+#: relative margin plus this fraction of the largest coordinate, so that
+#: rounding in ``x / side`` never puts two points closer than the radius
+#: more than one cell apart, however far from the origin they lie.
+CELL_MARGIN = 1e-9
+CELL_FLOOR = 1e-14
+
+
+def _grid_cells(cloud, radius):
+    """Cell coordinates, shape (n, k) with k <= 3, of the points on a cubic
+    grid of side just above ``radius`` over their widest coordinates.
+
+    Each axis is renumbered so that a gap of two or more cells becomes
+    exactly two: touching cells still touch, and every coordinate stays
+    below 2n whatever the ratio of extent to radius.  Axes are dropped,
+    narrowest first, until the cell keys fit in 62 bits.
+    """
+    n, p = cloud.shape
+    extent = np.ptp(cloud, axis=0) if n else np.zeros(p)
+    x = cloud[:, np.argsort(-extent, kind="stable")[:3]]
+    largest = float(np.abs(x).max()) if x.size else 0.0
+    side = (radius if radius > 0 else 0.0) * (1 + CELL_MARGIN) + CELL_FLOOR * largest
+    cells = np.floor(x / side) if side > 0 else np.zeros_like(x)
+    out = np.empty(x.shape, dtype=np.int64)
+    for k in range(x.shape[1]):
+        values, inverse = np.unique(cells[:, k], return_inverse=True)
+        steps = np.minimum(np.diff(values), 2).astype(np.int64)
+        out[:, k] = np.concatenate([[1], 1 + np.cumsum(steps)])[inverse]
+    while math.prod(int(c) + 2 for c in out.max(axis=0, initial=0)) >= 1 << 62:
+        out = out[:, :-1]
+    return out
+
+
+def _grid_pairs(cloud, radius):
+    """Yield ``(i, j)`` index arrays of every pair of points whose grid
+    cells (see :func:`_grid_cells`) touch, one stencil offset at a time.
+
+    Every pair closer than ``radius`` is among them, each pair once.  The
+    stencil is the cell itself and the half of its neighbours with a
+    positive key step: at most 14 offsets, for any ambient dimension.
+    """
+    cells = _grid_cells(cloud, radius)
+    # mixed radix with room for the -1 and +1 neighbours of every coordinate
+    radix = (cells.max(axis=0, initial=0) + 2).tolist()
+    strides = np.array([math.prod(radix[k + 1 :]) for k in range(len(radix))], dtype=np.int64)
+    key = cells @ strides
+    order = np.argsort(key, kind="stable")  # by cell, then by index
+    occupied, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=cells.shape[1]))) @ strides
+    for step in np.sort(steps[steps >= 0]):
+        at = np.searchsorted(occupied, occupied + step).clip(max=occupied.size - 1)
+        a = np.flatnonzero(occupied[at] == occupied + step)
+        b = at[a]
+        sizes = count[a] * count[b]
+        pair = np.repeat(np.arange(a.size), sizes)
+        rank = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        width = count[b][pair]
+        i = order[start[a][pair] + rank // width]
+        j = order[start[b][pair] + rank % width]
+        yield (i[i < j], j[i < j]) if step == 0 else (i, j)
+
+
 def epsilon_graph(cloud, eps, weights="inverse"):
     """Skeleton with an edge wherever ``0 < |x_i - x_j| < eps`` (strict).
 
     ``weights`` is ``"inverse"`` (1/distance, the default) or ``"unit"``.
     Coincident points are rejected; isolated vertices and disconnectedness
     are reported on the returned skeleton rather than raised, since only
-    transport operations require connectivity.
+    transport operations require connectivity.  Candidate pairs come from
+    a uniform cell grid of side ``eps`` (:func:`_grid_pairs`); one
+    distance formula and the strict test decide.
     """
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim != 2:
@@ -62,30 +128,53 @@ def epsilon_graph(cloud, eps, weights="inverse"):
         raise InvalidGraphError(f"unknown weight scheme {weights!r}")
     if not np.isfinite(cloud).all():
         raise InvalidGraphError("cloud has non-finite coordinates")
-    from scipy.spatial import cKDTree  # only the graph builders need it; keeps CLI start-up light
-
     n = cloud.shape[0]
-    # candidates within a slightly larger radius (coincident points at
-    # least); the strict test below decides with one distance formula
-    radius = eps * (1 + 1e-9) if eps > 0 else 0.0
-    pairs = cKDTree(cloud).query_pairs(radius, output_type="ndarray")
-    iu, ju = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
-    diff = cloud[iu] - cloud[ju]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    dup = dist == 0.0
-    if dup.any():
-        a, b = int(iu[dup.argmax()]), int(ju[dup.argmax()])
+    kept, coincident = [], []
+    for i, j in _grid_pairs(cloud, eps):
+        diff = cloud.take(i, axis=0) - cloud.take(j, axis=0)
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dup = dist == 0.0
+        if dup.any():
+            coincident.append(np.stack([i[dup], j[dup]], axis=1))
+        keep = dist < eps
+        kept.append((i[keep], j[keep], dist[keep]))
+    if coincident:
+        a, b = min(tuple(sorted(pair)) for pair in np.concatenate(coincident).tolist())
         raise InvalidGraphError(
             f"coincident points {a} and {b}; duplicate positions are not allowed"
         )
-    keep = dist < eps
-    edge_index = np.stack([iu[keep], ju[keep]], axis=1)
-    d_edge = dist[keep]
+    i, j, d_edge = (np.concatenate(parts) for parts in zip(*kept))
+    iu, ju = np.minimum(i, j), np.maximum(i, j)
+    by_pair = np.argsort(iu * n + ju)
+    edge_index = np.stack([iu[by_pair], ju[by_pair]], axis=1)
+    d_edge = d_edge[by_pair]
     w = 1.0 / d_edge if weights == "inverse" else np.ones_like(d_edge)
 
-    isolated = np.flatnonzero(np.diff(_neighbours(n, edge_index)[0]) == 0).tolist()
+    isolated = np.flatnonzero(np.bincount(edge_index.reshape(-1), minlength=n) == 0).tolist()
     connected = bool((_bfs(n, edge_index, [0] if n else [])[2] >= 0).all())
     return GraphSkeleton(n, edge_index, w, d_edge, isolated, connected)
+
+
+#: :func:`_nearest` compares at most this many (point, node) distances at once.
+NEAREST_BLOCK = 1 << 18
+
+
+def _nearest(points, cloud):
+    """Index of the cloud node nearest each point: the lowest index at the
+    minimum of ``sqrt(sum((b - x)**2))``, the squares summed in coordinate
+    order, by brute force over the cloud in blocks of at most
+    ``NEAREST_BLOCK`` distances."""
+    n = cloud.shape[0]
+    rows = max(1, NEAREST_BLOCK // max(n, 1))
+    nearest = np.empty(points.shape[0], dtype=int)
+    for s in range(0, points.shape[0], rows):
+        block = points[s : s + rows]
+        square = np.zeros((block.shape[0], n))
+        for b, x in zip(block.T, cloud.T):
+            diff = b[:, None] - x
+            square += np.multiply(diff, diff, out=diff)
+        nearest[s : s + rows] = np.sqrt(square).argmin(axis=1)
+    return nearest
 
 
 #: :func:`tangent_frames` takes the SVDs of vertices of equal degree

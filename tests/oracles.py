@@ -1,6 +1,7 @@
 """Test oracles: a random orthogonal matrix, the tree products as a
-vertex-by-vertex chain, tangent frames one vertex at a time, and an
-independent dense primal-route solve of the regularized problem.
+vertex-by-vertex chain, tangent frames one vertex at a time, epsilon pairs
+and nearest nodes by brute force, and an independent dense primal-route
+solve of the regularized problem.
 
 :func:`oracle_solve` takes a full dense SVD of B, O((m d)^2) memory, so it
 serves only as a cross-check of :func:`conbeck.solver.solve_regularized`
@@ -48,6 +49,30 @@ def per_vertex_tangent_frames(cloud, skeleton, d, eps):
         weighted = offsets.T * np.where(u < 1.0, 1.0 - u**2, 0.0)
         frames[i] = np.linalg.svd(weighted, full_matrices=False)[0][:, :d]
     return frames
+
+
+def brute_force_pairs(cloud, eps):
+    """Every pair ``i < j`` at distance ``sqrt(sum((x_i - x_j)**2)) < eps``,
+    in index order, as ``(pairs, distances, first_coincident)``; the last is
+    the first pair at distance 0, or None."""
+    cloud = np.asarray(cloud, dtype=float)
+    iu, ju = np.triu_indices(cloud.shape[0], k=1)
+    diff = cloud[iu] - cloud[ju]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    zero = np.flatnonzero(dist == 0.0)
+    first = (int(iu[zero[0]]), int(ju[zero[0]])) if zero.size else None
+    keep = dist < eps
+    return np.stack([iu[keep], ju[keep]], axis=1), dist[keep], first
+
+
+def brute_force_nearest(points, cloud):
+    """For each point, the lowest index of the cloud nodes at the minimum of
+    ``sqrt(sum((b - x)**2))``, one point at a time."""
+    cloud = np.asarray(cloud, dtype=float)
+    return np.array(
+        [np.argmin(np.linalg.norm(cloud - b, axis=1)) for b in np.asarray(points, dtype=float)],
+        dtype=int,
+    )
 
 
 def oracle_solve(g: ConnectionGraph, alpha, beta, lam=None, eps=1e-9, max_iter=200):

@@ -693,6 +693,22 @@ def test_hurdat_writes_field_per_storm(tmp_path, capsys):
     assert np.linalg.norm(f1) > 0 and np.linalg.norm(f2) > 0
 
 
+def test_hurdat_refuses_a_mesh_outside_three_dimensions(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    cloud = rng.uniform(size=(30, 2))
+    skeleton = epsilon_graph(cloud, 0.5)
+    tracks, mesh, fp = tmp_path / "hurdat2.txt", tmp_path / "points.csv", tmp_path / "frames.json"
+    tracks.write_text(HURDAT_TEXT)
+    io.save_points(mesh, cloud)
+    io.save_frames(fp, tangent_frames(cloud, skeleton, 1, 0.5))
+    outdir = tmp_path / "fields"
+    code = main(["hurdat", str(tracks), "--mesh", str(mesh), "--frames", str(fp), "-o", str(outdir)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {mesh}: mesh points are in dimension 2; storm positions need 3"]
+    assert not outdir.exists()
+
+
 def test_hurdat_frame_mesh_mismatch_exits_2(tmp_path, capsys):
     cloud, _, _ = sample_sphere_patch(6, 8)
     skeleton = epsilon_graph(cloud, 0.4)
@@ -810,6 +826,21 @@ def test_flat_verdicts_and_cluster_load_no_scipy(tmp_path):
     ])
     assert codes == [0, 0, 3, 0]
     assert "kernel dimension: 2" in out
+    assert modules == []
+
+
+def test_buildgraph_and_hurdat_load_no_scipy(tmp_path):
+    cloud, _, _ = sample_sphere_patch(10, 16)
+    pts, gp, fp = tmp_path / "points.csv", tmp_path / "graph.json", tmp_path / "frames.json"
+    tracks, outdir = tmp_path / "hurdat2.txt", tmp_path / "fields"
+    io.save_points(pts, cloud)
+    tracks.write_text(HURDAT_TEXT)
+    _, codes, modules = _run_commands([
+        ["buildgraph", str(pts), "--eps", "0.25", "--dim", "2", "-o", str(gp), "--frames", str(fp)],
+        ["hurdat", str(tracks), "--mesh", str(pts), "--frames", str(fp), "-o", str(outdir)],
+    ])
+    assert codes == [0, 0]
+    assert sorted(f.name for f in outdir.iterdir()) == ["AL092011.json", "EP011949.json"]
     assert modules == []
 
 

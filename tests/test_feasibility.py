@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conbeck import feasibility
+from conbeck import feasibility, graph
 from conbeck.errors import FeasibilityError, InvalidGraphError
 from conbeck.feasibility import (
     NEAR_KERNEL_RATIO,
@@ -26,7 +26,7 @@ from conbeck.feasibility import (
     project_feasible,
     require_feasible,
 )
-from conbeck.graph import ConnectionGraph, apply_BT, is_consistent, switch
+from conbeck.graph import ConnectionGraph, apply_BT, fundamental_cycles, is_consistent, switch
 from conbeck.manifold import (
     epsilon_graph,
     procrustes_connection,
@@ -230,6 +230,23 @@ def test_pickled_graph_keeps_kernel_not_operators(sign_path):
     assert np.array_equal(copy.kernel.vectors, basis.vectors)
     assert not copy.sigmas.flags.writeable
     assert np.array_equal(copy.laplacian_matrix.toarray(), sign_path.laplacian_matrix.toarray())
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: flat_sphere_patch(np.random.default_rng(3))[0], curved_sphere_patch]
+)
+def test_one_spanning_tree_per_graph(monkeypatch, make):
+    # check reads is_consistent and then the kernel: one BFS tree serves both
+    built = []
+    real = graph._spanning_tree
+    monkeypatch.setattr(graph, "_spanning_tree", lambda g, root: built.append(root) or real(g, root))
+    g = make()
+    is_consistent(g)
+    g.kernel
+    fundamental_cycles(g)
+    assert built == [0]
+    assert not any(arr.flags.writeable for arr in g._tree)
+    assert "_tree" not in vars(pickle.loads(pickle.dumps(g)))
 
 
 def test_kernel_dimension_at_most_d():

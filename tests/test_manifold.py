@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conbeck import manifold
 from conbeck.errors import InvalidGraphError
@@ -21,7 +23,12 @@ from conbeck.manifold import (
     tangent_frames,
 )
 
-from oracles import per_vertex_tangent_frames, random_orthogonal
+from oracles import (
+    brute_force_nearest,
+    brute_force_pairs,
+    per_vertex_tangent_frames,
+    random_orthogonal,
+)
 
 
 # -------------------------------------------------------------- epsilon graph
@@ -89,6 +96,128 @@ def test_epsilon_graph_reports_isolated_and_disconnected():
     assert not sk.connected
     sk2 = epsilon_graph(np.array([[0.0], [0.5], [1.0]]), eps=0.7)
     assert sk2.connected and sk2.isolated == []
+
+
+@st.composite
+def clouds(draw, coords=None):
+    """A cloud in dimension p in {1, 2, 3, 6}: up to 30 points on a coarse
+    lattice (many ties and pairs at exactly a lattice distance) or in
+    general position, and repeated points sometimes."""
+    p = draw(st.sampled_from([1, 2, 3, 6]))
+    if coords is None:
+        coords = draw(st.sampled_from([
+            st.integers(-4, 4).map(lambda k: 0.25 * k),
+            st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+        ]))
+    rows = draw(st.lists(st.tuples(*[coords] * p), max_size=30, unique=draw(st.booleans())))
+    return np.array(rows, dtype=float).reshape(-1, p)
+
+
+def _distance(cloud, i, j):
+    """Distance of points i and j by the formula epsilon_graph applies."""
+    return float(brute_force_pairs(cloud[[i, j]], np.inf)[1][0])
+
+
+@st.composite
+def clouds_and_radii(draw):
+    """A cloud and a radius: one of its pair distances (that pair is left
+    out), a positive float, zero or a negative value."""
+    cloud = draw(clouds())
+    n = cloud.shape[0]
+    radii = [st.floats(0.01, 4.0), st.sampled_from([0.0, -1.0])]
+    if n >= 2:
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        radii.append(st.just(_distance(cloud, i, j)))
+    return cloud, draw(st.one_of(radii))
+
+
+def _assert_is_brute_force(cloud, eps):
+    pairs, dist, first = brute_force_pairs(cloud, eps)
+    if first is not None:
+        with pytest.raises(InvalidGraphError) as err:
+            epsilon_graph(cloud, eps)
+        assert str(err.value) == (
+            f"coincident points {first[0]} and {first[1]}; duplicate positions are not allowed"
+        )
+        return
+    skeleton = epsilon_graph(cloud, eps)
+    assert np.array_equal(skeleton.edge_index, pairs)
+    assert np.array_equal(skeleton.distances, dist)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(clouds_and_radii())
+def test_epsilon_graph_is_the_brute_force_pairs(case):
+    _assert_is_brute_force(*case)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 6])
+def test_epsilon_graph_leaves_out_a_pair_at_exactly_eps(p):
+    rng = np.random.default_rng(p)
+    cloud = rng.uniform(size=(60, p))
+    eps = _distance(cloud, 4, 9)
+    assert [4, 9] not in epsilon_graph(cloud, eps).edge_index.tolist()
+    _assert_is_brute_force(cloud, eps)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=20),
+    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=20),
+    st.sampled_from([(1e7, 1.0), (1e15, 1.0), (1e300, 1e285)]),
+)
+def test_epsilon_graph_on_a_cloud_spanning_far_more_than_eps(near, far, span_and_spread):
+    # two clusters span * eps apart on the first axis, eps = 1: the cell keys
+    # must not overflow, and every cell coordinate stays below 2n
+    span, spread = span_and_spread
+    cloud = np.array(
+        [(x, 0.5 * (k % 2)) for k, x in enumerate(near)]
+        + [(span + spread * x, 0.5 * (k % 2)) for k, x in enumerate(far)]
+    )
+    _assert_is_brute_force(cloud, 1.0)
+    assert manifold._grid_cells(cloud, 1.0).max() <= 2 * cloud.shape[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 3])
+def test_epsilon_graph_on_zero_one_and_two_points(n, p):
+    cloud = np.arange(n * p, dtype=float).reshape(n, p) * 0.1
+    skeleton = epsilon_graph(cloud, 1.0)
+    assert skeleton.edge_index.shape == (n * (n - 1) // 2, 2)
+    assert skeleton.isolated == ([0] if n == 1 else [])
+    assert skeleton.connected
+    _assert_is_brute_force(cloud, 1.0)
+
+
+@pytest.mark.parametrize("eps", [2.0, 0.0, -1.0, 100.0])
+def test_epsilon_graph_names_the_first_coincident_pair(eps):
+    # points 1, 5 and 8 coincide, and so do 3 and 7: the first pair in index order is (1, 5)
+    cloud = np.array([[9.0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [1, 0], [6, 0], [3, 0], [1, 0]])
+    with pytest.raises(InvalidGraphError, match=r"^coincident points 1 and 5; duplicate"):
+        epsilon_graph(cloud, eps)
+
+
+@pytest.mark.parametrize("block", [1, 7, manifold.NEAREST_BLOCK])
+def test_nearest_is_the_lowest_index_at_the_minimum(monkeypatch, block):
+    monkeypatch.setattr(manifold, "NEAREST_BLOCK", block)
+    # nodes 1 and 3 repeat nodes 0 and 2, and the origin is equally near all four:
+    # every tie goes to the lowest index
+    cloud = np.array([[1.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [-1.0, 0, 0], [0, 3.0, 0]])
+    points = np.array([[0.0, 0, 0], [0.5, 0, 0], [-0.5, 0, 0], [0, 2.0, 0], [0, 0, 9.0]])
+    assert manifold._nearest(points, cloud).tolist() == [0, 0, 2, 4, 0]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(clouds(coords=st.integers(-2, 2).map(float)), st.data())
+def test_nearest_is_the_brute_force_nearest(cloud, data):
+    if cloud.shape[0] == 0:
+        return
+    p = cloud.shape[1]
+    points = np.array(
+        data.draw(st.lists(st.tuples(*[st.integers(-4, 4).map(lambda k: 0.5 * k)] * p), max_size=12)),
+        dtype=float,
+    ).reshape(-1, p)
+    assert np.array_equal(manifold._nearest(points, cloud), brute_force_nearest(points, cloud))
 
 
 # ------------------------------------------------------------- tangent frames
