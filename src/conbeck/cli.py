@@ -298,8 +298,12 @@ def _cmd_hurdat(args):
         )
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = 0
+    seen, written = set(), 0
     for track in tracks:
+        if track.id in seen:
+            _err(f"{track.id}: repeated storm id, skipped")
+            continue
+        seen.add(track.id)
         if len(track) < 2:
             _err(f"{track.id}: fewer than 2 samples, skipped")
             continue
@@ -358,7 +362,7 @@ def build_parser():
     _add_solver_arguments(sub)
     sub.add_argument("-o", "--output", required=True)
     sub.add_argument("--report", default=None)
-    sub.add_argument("--active-edges", type=float, default=None, metavar="DELTA")
+    sub.add_argument("--active-edges", type=_at_least(float, 0), default=None, metavar="DELTA")
     sub.set_defaults(func=_cmd_solve)
 
     sub = subs.add_parser("buildgraph", help="build a connection graph from points")
@@ -390,7 +394,7 @@ def build_parser():
 
     sub = subs.add_parser("cluster", help="spectral clustering of a distance matrix")
     sub.add_argument("matrix")
-    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--k", type=_at_least(int, 1), required=True)
     sub.add_argument("--gamma", type=_at_least(float, 0), default=0.1)
     sub.add_argument("--seed", type=_at_least(int, 0), default=0)
     sub.add_argument("-o", "--output", required=True)

@@ -15,13 +15,12 @@ as an independent reference.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FeasibilityError
-from .graph import ConnectionGraph, _holonomies, tree_products
+from .graph import ConnectionGraph, tree_products
 
 __all__ = [
     "KernelBasis",
@@ -107,8 +106,8 @@ def kernel_structured(g: ConnectionGraph):
     :attr:`ConnectionGraph.kernel` caches the result.
     """
     d = g.d
-    _, _, depth, chord, t = g._tree
-    defects = (_holonomies(g, t, chord) - np.eye(d)).reshape(-1, d) / np.sqrt(g.n)
+    _, _, depth, chord, t, defects = g._tree
+    defects = defects.reshape(-1, d) / np.sqrt(g.n)
     flat = not chord.any() or np.linalg.norm(defects, 2) <= KERNEL_TOL
     if flat and _at_most_d_kernel_modes(g, depth.max()):
         return KernelBasis(np.moveaxis(t, 2, 0) / np.sqrt(g.n), KERNEL_TOL)
@@ -170,18 +169,6 @@ def require_feasible(g: ConnectionGraph, alpha, beta):
     return basis
 
 
-def __getattr__(name):
-    """Module attribute ``eigsh``, scipy's sparse eigensolver, imported and
-    bound on first access: only a curved connection's kernel and the
-    projection need it, and every command pays for its imports."""
-    if name != "eigsh":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.sparse.linalg import eigsh
-
-    globals()["eigsh"] = eigsh
-    return eigsh
-
-
 #: :func:`project_feasible` removes the modes of L up to this fraction of ``max(lambda_max, 1)``.
 NEAR_KERNEL_RATIO = 1e-3
 
@@ -206,7 +193,8 @@ def _lowest_modes(g: ConnectionGraph):
     from the same vector, so the modes are reproducible bit for bit.
     Reached only through :attr:`ConnectionGraph.near_kernel_modes`.
     """
-    eigsh = sys.modules[__name__].eigsh  # the module attribute, bound on first use
+    from scipy.sparse.linalg import eigsh  # only these modes need it; keeps CLI start-up light
+
     lap = g.laplacian_matrix
     size = lap.shape[0]
     k = 2 * g.d + 2

@@ -57,18 +57,18 @@ def polar_project(mat):
     return u @ vt
 
 
-def _snap(mats, lo=EXACT_ORTHOGONALITY_TOL, hi=ORTHOGONALITY_TOL):
+def _snap(mats, lo=EXACT_ORTHOGONALITY_TOL):
     """Orthogonality defects of a (k, p, d) stack, and the stack snapped.
 
     Returns ``(defect, snapped)``: ``defect[k] = max|A_k^T A_k - I|`` and a
     copy of the stack with the polar factor in place of each matrix whose
-    defect lies in ``(lo, hi]``.
+    defect lies in ``(lo, ORTHOGONALITY_TOL]``.
     """
     mats = np.asarray(mats, dtype=float)
     gram = np.swapaxes(mats, -1, -2) @ mats
     defect = np.abs(gram - np.eye(mats.shape[-1])).max(axis=(-2, -1))
     snapped = np.array(mats)
-    pick = (defect > lo) & (defect <= hi)
+    pick = (defect > lo) & (defect <= ORTHOGONALITY_TOL)
     snapped[pick] = polar_project(mats[pick])
     return defect, snapped
 
@@ -335,11 +335,15 @@ class ConnectionGraph:
     @cached_property
     def _tree(self):
         """The BFS spanning tree from vertex 0 as :func:`_spanning_tree`
-        returns it, computed once and read-only; :func:`is_consistent`,
-        :func:`fundamental_cycles` and :attr:`kernel` all read it.  Not
-        pickled.
+        returns it, then the holonomy defects ``t[i]^T sigma_e t[j] - I`` of
+        its chords ``e = (i, j)``, in edge order.  Computed once, read-only
+        and not pickled; :func:`is_consistent`, :func:`fundamental_cycles`
+        and :attr:`kernel` all read it.
         """
-        tree = _spanning_tree(self, 0)
+        *tree, chord, t = _spanning_tree(self, 0)
+        i, j = self.edge_index[chord].T
+        defects = np.swapaxes(t[i], 1, 2) @ self.sigmas[chord] @ t[j] - np.eye(self.d)
+        tree = (*tree, chord, t, defects)
         for arr in tree:
             arr.setflags(write=False)
         return tree
@@ -455,12 +459,6 @@ def _spanning_tree(g: ConnectionGraph, root):
     return order, parent, depth, ~(tail_up | head_up), t
 
 
-def _holonomies(g, t, chord):
-    """Cycle products ``t[i]^T sigma_e t[j]`` of the chords ``e = (i, j)``, in edge order."""
-    i, j = g.edge_index[chord].T
-    return np.swapaxes(t[i], 1, 2) @ g.sigmas[chord] @ t[j]
-
-
 def bfs_tree(g: ConnectionGraph, root=0):
     """Breadth-first spanning tree with deterministic neighbor order.
 
@@ -505,7 +503,7 @@ def fundamental_cycles(g: ConnectionGraph):
     vertex path starting and ending at vertex 0 that traverses the chord.
     Trees yield an empty list.
     """
-    _, parent, _, chord, _ = g._tree
+    _, parent, _, chord, *_ = g._tree
 
     def path_to_root(u):
         path = [int(u)]
@@ -525,8 +523,8 @@ def is_consistent(g: ConnectionGraph, tol=1e-8):
     Checks the fundamental cycles of a BFS spanning tree; these generate
     all rooted cycle products, so the reduction is exact.
     """
-    *_, chord, t = g._tree
-    return not (np.abs(_holonomies(g, t, chord) - np.eye(g.d)) > tol).any()
+    *_, defects = g._tree
+    return not (np.abs(defects) > tol).any()
 
 
 def switch(g: ConnectionGraph, tau):

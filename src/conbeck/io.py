@@ -145,19 +145,27 @@ def _get(obj, key, where):
 
 
 def _get_int(obj, key, where, minimum=0):
+    """An integer in ``[minimum, 2**63)``: every count and index must fit
+    the 64-bit arrays it goes into."""
     value = _get(obj, key, where)
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"{where}: key {key!r} must be an integer, got {value!r}")
     if value < minimum:
         raise FormatError(f"{where}: key {key!r} must be >= {minimum}, got {value}")
+    if value >= 1 << 63:
+        raise FormatError(f"{where}: key {key!r} must be below 2**63, got {value}")
     return value
 
 
-def _as_array(values, shape, where):
+def _numeric(values, where):
     try:
-        arr = np.asarray(values, dtype=float)
+        return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{where}: expected a numeric array ({exc})") from exc
+
+
+def _as_array(values, shape, where):
+    arr = _numeric(values, where)
     if arr.shape != shape:
         raise FormatError(f"{where}: expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -386,7 +394,7 @@ def trajectory_from_dict(obj):
         raw_amb = obj["ambient"]
         if not isinstance(raw_amb, list) or len(raw_amb) != steps + 1:
             raise FormatError(f"{where}: 'ambient' must list {steps + 1} arrays")
-        first = np.asarray(raw_amb[0], dtype=float)
+        first = _numeric(raw_amb[0], f"{where}: ambient state 0")
         if first.ndim != 2 or first.shape[0] != n:
             raise FormatError(f"{where}: ambient state 0 must have {n} rows")
         p = first.shape[1]

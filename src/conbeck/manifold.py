@@ -56,10 +56,17 @@ class GraphSkeleton:
 CELL_MARGIN = 1e-9
 CELL_FLOOR = 1e-14
 
+#: No cell is narrower than this.  Coordinate gaps below about 2**-537
+#: square to zero, so the distance formula puts a pair with only such gaps
+#: at distance 0; cells of at least twice that side make the pair share or
+#: touch a cell, and :func:`epsilon_graph` reports it as coincident.
+CELL_MIN_SIDE = 2.0**-536
+
 
 def _grid_cells(cloud, radius):
     """Cell coordinates, shape (n, k) with k <= 3, of the points on a cubic
-    grid of side just above ``radius`` over their widest coordinates.
+    grid of side just above ``radius`` (and at least ``CELL_MIN_SIDE``)
+    over their widest coordinates.
 
     Each axis is renumbered so that a gap of two or more cells becomes
     exactly two: touching cells still touch, and every coordinate stays
@@ -71,7 +78,7 @@ def _grid_cells(cloud, radius):
     x = cloud[:, np.argsort(-extent, kind="stable")[:3]]
     largest = float(np.abs(x).max()) if x.size else 0.0
     side = (radius if radius > 0 else 0.0) * (1 + CELL_MARGIN) + CELL_FLOOR * largest
-    cells = np.floor(x / side) if side > 0 else np.zeros_like(x)
+    cells = np.floor(x / max(side, CELL_MIN_SIDE))
     out = np.empty(x.shape, dtype=np.int64)
     for k in range(x.shape[1]):
         values, inverse = np.unique(cells[:, k], return_inverse=True)

@@ -127,19 +127,13 @@ def _component_major(g):
 
     Entry ``a m + e`` of such a vector is component ``a`` of edge ``e``,
     which is entry ``e d + a`` of the edge-major vectors of
-    :attr:`ConnectionGraph.incidence_matrix`.  The rows of ``B^T`` are
-    permuted and the columns of ``B`` relabelled, each keeping its storage
-    order, so every product sums the same terms in the same order.
+    :attr:`ConnectionGraph.incidence_matrix`.  SciPy's selection of the
+    rows of ``B^T`` and the columns of ``B`` keeps each row's entries in
+    storage order, so every product sums the same terms in the same order.
     """
-    import scipy.sparse as sp  # only the ascent needs it; keeps CLI start-up light
-
     m, d = g.m, g.d
     order = (np.arange(m) * d + np.arange(d)[:, None]).ravel()
-    relabel = np.empty_like(order)
-    relabel[order] = np.arange(m * d)
-    bmat = g.incidence_matrix
-    relabelled = sp.csr_matrix((bmat.data, relabel[bmat.indices], bmat.indptr), shape=bmat.shape)
-    return g.incidence_matrix_T[order], relabelled
+    return g.incidence_matrix_T[order], g.incidence_matrix[:, order]
 
 
 def _component_norms(gvals, out, scratch):

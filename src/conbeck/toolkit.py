@@ -91,22 +91,17 @@ def edge_rings(g: ConnectionGraph, support):
 def interpolate_trajectory(g: ConnectionGraph, alpha, flow, rings: RingPartition, steps):
     """Truncated-flow trajectory ``alpha_k = alpha - B (J restricted to disk k)``.
 
-    Returns ``steps + 1`` fields; the first is ``alpha`` exactly (the empty
-    disk) and, once every active edge is inside the disk, the trajectory
-    sits at ``alpha - B J``.
+    Returns ``steps + 1`` fields; the first is ``alpha`` exactly (``B 0`` is
+    all ``+0.0``) and, once every active edge is inside the disk, the
+    trajectory sits at ``alpha - B J``.
     """
     g.require_valid()
     alpha = np.asarray(alpha, dtype=float).reshape(g.n, g.d)
     flow = np.asarray(flow, dtype=float).reshape(g.m, g.d)
-    out = []
-    for k in range(steps + 1):
-        mask = rings.disk(k)
-        if not mask.any():
-            out.append(alpha.copy())
-            continue
-        truncated = np.where(mask[:, None], flow, 0.0)
-        out.append(alpha - apply_B(g, truncated))
-    return out
+    return [
+        alpha - apply_B(g, np.where(rings.disk(k)[:, None], flow, 0.0))
+        for k in range(steps + 1)
+    ]
 
 
 def active_edges(flow, delta=0.0):

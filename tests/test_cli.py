@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conbeck import feasibility, io
+from conbeck import io
 from conbeck.cli import build_parser, main
 from conbeck.feasibility import kernel_numeric, project_feasible
 from conbeck.graph import ConnectionGraph
@@ -127,6 +127,25 @@ def test_check_malformed_json_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"n": 100000000000000000000, "d": 1, "edges": []}',
+         "graph: key 'n' must be below 2**63, got 100000000000000000000"),
+        ('{"n": 2, "d": 1, "edges": [{"i": 0, "j": 100000000000000000000000, "w": 1.0, '
+         '"sigma": [1.0]}]}',
+         "graph: edge 0: key 'j' must be below 2**63, got 100000000000000000000000"),
+    ],
+    ids=["n", "edge-endpoint"],
+)
+def test_check_refuses_an_integer_past_64_bits(tmp_path, capsys, doc, message):
+    # these raised OverflowError with a traceback and exit 1
+    gp = tmp_path / "g.json"
+    gp.write_text(doc)
+    assert main(["check", str(gp)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 # ------------------------------------------------------------------ feasible
 
 
@@ -174,10 +193,21 @@ def test_switch_writes_graph_and_tau(sign_path_files, capsys):
         (["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "inf", "-o", "{out}"], 2),
         (["switch", "{graph}", "--root", "99", "-o", "{out}"], 2),
         (["switch", "{graph}", "--root", "-1", "-o", "{out}"], 2),
+        (["cluster", "{points}", "--k", "0", "-o", "{out}"], 1),
+        (["cluster", "{points}", "--k=-3", "-o", "{out}"], 1),
+        (["cluster", "{points}", "--k", "4", "-o", "{out}"], 2),
+        (["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "1", "-o", "{out}",
+          "--active-edges", "nan"], 1),
+        (["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "1", "-o", "{out}",
+          "--active-edges=-1"], 1),
+        (["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "1", "-o", "{out}",
+          "--active-edges", "inf"], 1),
     ],
     ids=["check-tol-nan", "feasible-tol-nan", "feasible-tol-negative", "buildgraph-dim-0",
          "buildgraph-eps-negative", "buildgraph-eps-nan", "buildgraph-eps-inf", "buildgraph-eps-0",
-         "interp-steps-negative", "solve-lambda-inf", "switch-root-99", "switch-root-negative"],
+         "interp-steps-negative", "solve-lambda-inf", "switch-root-99", "switch-root-negative",
+         "cluster-k-0", "cluster-k-negative", "cluster-k-above-size", "solve-active-edges-nan",
+         "solve-active-edges-negative", "solve-active-edges-inf"],
 )
 def test_out_of_range_values_exit_with_one_error_line(diamond_files, capsys, argv, code):
     tmp, paths = diamond_files
@@ -509,13 +539,13 @@ def test_distmat_project_kernel_solves_for_the_modes_once(tmp_path, capsys, monk
     # the kernel and the projection share one near-kernel solve per graph,
     # whichever runs first: one lambda_max and one shift-invert eigsh
     calls = []
-    real = feasibility.eigsh
+    from scipy.sparse.linalg import eigsh as real
 
     def counting(*args, **kwargs):
         calls.append("shift-invert" if "sigma" in kwargs else kwargs["which"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(feasibility, "eigsh", counting)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", counting)
     rng = np.random.default_rng(38)
     curved = curved_sphere_patch()
     gp, fields_dir = tmp_path / "curved.json", tmp_path / "fields"
@@ -638,7 +668,6 @@ def test_cluster_refuses_a_gamma_outside_zero_to_inf(tmp_path, capsys, gamma):
     assert not lp.exists()
 
 
-
 def test_cluster_refuses_a_negative_seed(tmp_path, capsys):
     dp, lp = tmp_path / "D.csv", tmp_path / "labels.csv"
     io.save_matrix(dp, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -691,6 +720,28 @@ def test_hurdat_writes_field_per_storm(tmp_path, capsys):
     f2 = io.load_field(outdir / "EP011949.json")
     assert f1.shape == (160, 2) and f2.shape == (160, 2)
     assert np.linalg.norm(f1) > 0 and np.linalg.norm(f2) > 0
+
+
+def test_hurdat_keeps_the_first_storm_of_a_repeated_id(tmp_path, capsys):
+    # the second AL092011 block used to overwrite the first one's field
+    cloud, _, _ = sample_sphere_patch(10, 16)
+    mesh, fp = tmp_path / "mesh.csv", tmp_path / "frames.json"
+    io.save_points(mesh, cloud)
+    io.save_frames(fp, tangent_frames(cloud, epsilon_graph(cloud, 0.25), 2, 0.25))
+    texts = {
+        "first": HURDAT_TEXT.split("EP011949")[0],
+        "repeated": HURDAT_TEXT.replace("EP011949, UNNAMED", "AL092011, IRENE"),
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+        argv = ["hurdat", str(tmp_path / f"{name}.txt"), "--mesh", str(mesh), "--frames", str(fp)]
+        assert main(argv + ["-o", str(tmp_path / name)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: AL092011: repeated storm id, skipped"]
+    assert captured.out.splitlines()[-1] == f"wrote 1 fields to {tmp_path / 'repeated'}"
+    assert [f.name for f in (tmp_path / "repeated").iterdir()] == ["AL092011.json"]
+    written = (tmp_path / "repeated" / "AL092011.json").read_bytes()
+    assert written == (tmp_path / "first" / "AL092011.json").read_bytes()
 
 
 def test_hurdat_refuses_a_mesh_outside_three_dimensions(tmp_path, capsys):
@@ -842,6 +893,27 @@ def test_buildgraph_and_hurdat_load_no_scipy(tmp_path):
     assert codes == [0, 0]
     assert sorted(f.name for f in outdir.iterdir()) == ["AL092011.json", "EP011949.json"]
     assert modules == []
+
+
+def test_solve_on_a_flat_connection_loads_only_the_sparse_operators(tmp_path):
+    # the parallel sections decide feasibility and the ascent reads B alone:
+    # no eigensolver and no dense linear algebra
+    rng = np.random.default_rng(40)
+    flat, _ = flat_sphere_patch(rng)
+    basis = flat.kernel.vectors
+    alpha, noise = rng.standard_normal((2, flat.n, 2))
+    beta = alpha + noise - np.einsum("k,knd->nd", np.einsum("knd,nd->k", basis, noise), basis)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("g", "a", "b", "flow")}
+    io.save_graph(paths["g"], flat)
+    io.save_field(paths["a"], alpha)
+    io.save_field(paths["b"], beta)
+    argv = ["solve", paths["g"], paths["a"], paths["b"], "--lambda", repr(flat.w_max)]
+    _, codes, modules = _run_commands([argv + ["--epochs", "3", "-o", paths["flow"]]])
+    assert codes == [4]  # three epochs do not converge; the flow is still written
+    assert io.load_flow(paths["flow"]).shape == (flat.m, 2)
+    assert "scipy.sparse" in modules
+    unused = {"scipy.sparse.linalg", "scipy.optimize", "scipy.spatial", "scipy.linalg"}
+    assert not unused & set(modules)
 
 
 def test_check_on_a_curved_connection_loads_only_the_operators_and_eigensolver(tmp_path):

@@ -242,6 +242,25 @@ def test_graph_schema_errors():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": 2**63, "d": 1, "edges": []}, f"graph: key 'n' must be below 2**63, got {2**63}"),
+        ({"n": 2, "d": 10**20, "edges": []}, f"graph: key 'd' must be below 2**63, got {10**20}"),
+        (
+            {"n": 2, "d": 1, "edges": [{"i": 10**23, "j": 1, "w": 1.0, "sigma": [1.0]}]},
+            f"graph: edge 0: key 'i' must be below 2**63, got {10**23}",
+        ),
+    ],
+    ids=["n", "d", "edge-endpoint"],
+)
+def test_graph_integers_past_64_bits_are_format_errors(obj, message):
+    # these escaped as OverflowError or ValueError, or (n) reached validation
+    with pytest.raises(FormatError) as exc:
+        graph_from_dict(obj, validate=False)
+    assert str(exc.value) == message
+
+
 def test_graph_file_not_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all {")
@@ -362,6 +381,26 @@ def test_trajectory_wrong_state_count():
         trajectory_from_dict(
             {"n": 2, "d": 1, "steps": 3, "states": [[[0.0], [0.0]]]}
         )
+
+
+@pytest.mark.parametrize(
+    "first, reason",
+    [
+        ([["x", 1.0]], "could not convert string to float: 'x'"),
+        ([[1.0, 2.0], [3.0]], "setting an array element with a sequence"),
+    ],
+    ids=["non-numeric", "ragged"],
+)
+def test_trajectory_ambient_state_0_not_numeric(first, reason):
+    # the first ambient state sets the ambient dimension; it raised ValueError
+    from conbeck.io import trajectory_from_dict
+
+    obj = {"n": 2, "d": 1, "steps": 0, "states": [[[0.0], [0.0]]], "ambient": [first]}
+    with pytest.raises(FormatError) as exc:
+        trajectory_from_dict(obj)
+    assert str(exc.value).startswith(
+        f"trajectory: ambient state 0: expected a numeric array ({reason}"
+    )
 
 
 # ----------------------------------------------------------------------- CSV
