@@ -27,21 +27,9 @@ from .feasibility import (
     project_feasible,
 )
 from .graph import is_consistent, switch
-from .hurdat import hurdat2_parse, track_to_field
-from .manifold import (
-    epsilon_graph,
-    lift_to_ambient,
-    procrustes_connection,
-    tangent_frames,
-)
 from .solver import SolveOptions, solve_regularized
-from .toolkit import (
-    distance_matrix,
-    edge_rings,
-    interpolate_trajectory,
-    nodal_support,
-    spectral_cluster,
-)
+
+# manifold, hurdat and toolkit are imported by the commands that run them
 
 __all__ = ["main"]
 
@@ -188,6 +176,8 @@ def _cmd_solve(args):
 
 
 def _cmd_buildgraph(args):
+    from .manifold import epsilon_graph, procrustes_connection, tangent_frames
+
     cloud = io.load_points(args.points)
     skeleton = epsilon_graph(cloud, args.eps, weights=args.weights)
     frames = tangent_frames(cloud, skeleton, args.dim, args.eps)
@@ -202,6 +192,8 @@ def _cmd_buildgraph(args):
 
 
 def _cmd_interp(args):
+    from .toolkit import edge_rings, interpolate_trajectory, nodal_support
+
     g = io.load_graph(args.graph)
     alpha = io.load_field(args.alpha)
     _require_field_shape(alpha, g, args.alpha)
@@ -221,6 +213,8 @@ def _cmd_interp(args):
                 f"{args.frames}: frames shape {frames.shape} does not match "
                 f"graph (n={g.n}, d={g.d})"
             )
+        from .manifold import lift_to_ambient
+
         ambient = [lift_to_ambient(frames, s) for s in states]
     io.save_trajectory(args.output, states, ambient=ambient)
     print(f"wrote {len(states)} states to {args.output}")
@@ -228,6 +222,8 @@ def _cmd_interp(args):
 
 
 def _cmd_distmat(args):
+    from .toolkit import distance_matrix
+
     g = io.load_graph(args.graph)
     if not _check_lambda(args, g):
         return 1
@@ -263,6 +259,8 @@ def _cmd_distmat(args):
 
 
 def _cmd_cluster(args):
+    from .toolkit import spectral_cluster
+
     dist = io.load_matrix(args.matrix)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise FormatError(f"{args.matrix}: expected a square matrix")
@@ -279,6 +277,8 @@ def _cmd_cluster(args):
 
 
 def _cmd_hurdat(args):
+    from .hurdat import hurdat2_parse, track_to_field
+
     with open(args.tracks, "r", encoding="utf-8") as fh:
         text = fh.read()
     tracks, issues = hurdat2_parse(text)

@@ -227,10 +227,13 @@ class ConnectionGraph:
         in_range = (i >= 0) & (i < n) & (j >= 0) & (j < n)
         loop = in_range & (i == j)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        # unordered pair code; edges that form no pair get distinct negative codes
-        key = np.where(in_range & ~loop, lo * n + hi, -1 - np.arange(m))
-        duplicate = np.ones(m, dtype=bool)
-        duplicate[np.unique(key, return_index=True)[1]] = False
+        # a stable sort by (lo, hi) puts each repeat of an unordered pair
+        # right after an earlier edge with that pair
+        paired = np.flatnonzero(in_range & ~loop)
+        order = paired[np.lexsort((hi[paired], lo[paired]))]
+        duplicate = np.zeros(m, dtype=bool)
+        later, earlier = order[1:], order[:-1]
+        duplicate[later] = (lo[later] == lo[earlier]) & (hi[later] == hi[earlier])
         out = []
         for e in np.flatnonzero(~in_range | loop | (i > j) | duplicate):
             if not in_range[e]:
@@ -251,11 +254,18 @@ class ConnectionGraph:
                 f"edge {e}: sigma is not orthogonal (|sigma^T sigma - I|_max = {defect[e]:.3g})"
             )
         if n > 1 and not out:
-            missing = np.flatnonzero(_bfs(n, self.edge_index, [0])[2] < 0)
-            if missing.size:
+            # search over vertex 0 and the vertices the edges touch, relabelled
+            # 0, 1, ... in order, so the cost does not grow with n
+            labels, local = np.unique(np.append(0, self.edge_index), return_inverse=True)
+            reached = labels[_bfs(labels.size, local[1:].reshape(-1, 2), [0])[2] >= 0]
+            if reached.size < n:
+                # reached is sorted and starts at 0: the first unreached
+                # vertex is its first gap
+                gap = np.flatnonzero(reached != np.arange(reached.size))
+                first = gap[0] if gap.size else reached.size
                 out.append(
-                    f"graph is disconnected ({missing.size} vertices unreachable "
-                    f"from 0, e.g. vertex {missing[0]})"
+                    f"graph is disconnected ({n - reached.size} vertices unreachable "
+                    f"from 0, e.g. vertex {first})"
                 )
         return out
 

@@ -12,6 +12,7 @@ problems surface as :class:`~conbeck.errors.InvalidGraphError` when
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,6 +106,15 @@ def _json_cells(block):
     return cells
 
 
+def _nonzero_rows(columns):
+    """Rows with a cell other than ``0`` or ``+0.0``, the numbers whose bits
+    are all zero (``-0.0`` has its sign bit set)."""
+    nonzero = np.zeros(len(columns[0]), dtype=bool)
+    for col in columns:
+        nonzero |= col.view(f"u{col.itemsize}").any(axis=1)
+    return nonzero
+
+
 def _dump_table(path, header, tables=()):
     """Write ``{**header, key: [row, ...], ...}`` in the text that
     ``json.dump`` with ``indent=2`` and a newline give, ``_CHUNK_ROWS``
@@ -113,7 +123,10 @@ def _dump_table(path, header, tables=()):
     ``header`` maps keys to JSON scalars.  Each of ``tables`` is a
     ``(key, row, columns)`` triple: its row r is laid out by the
     :func:`_layout` spec ``row`` from the r-th rows of the 2-D arrays
-    ``columns``, taken left to right.
+    ``columns``, taken left to right.  A row of zeros is formatted once
+    per table, in each column's dtype, and spliced into each chunk's
+    template as literal text; the other rows fill the template in one
+    ``%`` call.
     """
     with open(path, "w", encoding="utf-8") as fh:
         sep = "{"
@@ -128,11 +141,20 @@ def _dump_table(path, header, tables=()):
                 fh.write("[]")
                 continue
             item = "    " + _layout(row, 2)
+            zeros = [z for col in columns for z in np.zeros(col.shape[1], col.dtype).tolist()]
+            zero_item = item % tuple(zeros)
+            templates = np.array([zero_item, item], dtype=object)
+            nonzero = _nonzero_rows(columns)
             lead = "[\n"
             for start in range(0, rows, _CHUNK_ROWS):
-                block = [_json_cells(col[start : start + _CHUNK_ROWS]) for col in columns]
+                kept = nonzero[start : start + _CHUNK_ROWS]
+                block = [
+                    _json_cells(col[start : start + _CHUNK_ROWS].compress(kept, axis=0))
+                    for col in columns
+                ]
                 cells = np.concatenate(block, axis=1)
-                fh.write(lead + ",\n".join([item] * len(cells)) % tuple(cells.ravel().tolist()))
+                chunk = ",\n".join(templates[kept.view(np.uint8)].tolist())
+                fh.write(lead + chunk % tuple(cells.ravel().tolist()))
                 lead = ",\n"
             fh.write("\n  ]")
         fh.write("\n}\n" if sep == "," else "{}\n")
@@ -190,6 +212,35 @@ def _orthonormal_stack(arr, where):
 # ---------------------------------------------------------------------------
 
 
+def _columns(edges):
+    """The ``i``, ``j``, ``w`` and ``sigma`` columns of a list of edge objects."""
+    return [list(map(itemgetter(key), edges)) for key in ("i", "j", "w", "sigma")]
+
+
+def _edge_columns(edges, d):
+    """:func:`_columns` of ``edges`` if every edge is a dict holding ints
+    ``i`` and ``j`` in ``[0, 2**63)``, an int or float ``w`` and a list of
+    ``d * d`` entries as ``sigma``, else ``None``.  Exact types only: a
+    subclass is left to the per-edge checks."""
+    if not set(map(type, edges)) <= {dict}:
+        return None
+    try:
+        columns = _columns(edges)
+    except KeyError:
+        return None
+    tails, heads, weights, sigmas = columns
+    ends = tails + heads
+    if (
+        set(map(type, ends)) <= {int}
+        and (not ends or (min(ends) >= 0 and max(ends) < 1 << 63))
+        and set(map(type, weights)) <= {int, float}
+        and set(map(type, sigmas)) <= {list}
+        and set(map(len, sigmas)) <= {d * d}
+    ):
+        return columns
+    return None
+
+
 def graph_to_dict(g):
     tails, heads = g.edge_index.T.tolist()
     columns = zip(tails, heads, g.weights.tolist(), g.sigmas.reshape(g.m, g.d * g.d).tolist())
@@ -210,25 +261,29 @@ def graph_from_dict(obj, validate=True):
     edges = _get(obj, "edges", where)
     if not isinstance(edges, list):
         raise FormatError(f"{where}: 'edges' must be a list")
-    for k, entry in enumerate(edges):
-        loc = f"{where}: edge {k}"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{loc}: expected an object")
-        _get_int(entry, "i", loc)
-        _get_int(entry, "j", loc)
-        w = _get(entry, "w", loc)
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise FormatError(f"{loc}: 'w' must be a number, got {w!r}")
-        sigma = _get(entry, "sigma", loc)
-        if not isinstance(sigma, list) or len(sigma) != d * d:
-            raise FormatError(
-                f"{loc}: 'sigma' must be a flat row-major list of {d * d} numbers"
-            )
+    columns = _edge_columns(edges, d)
+    if columns is None:
+        for k, entry in enumerate(edges):  # name the first bad edge
+            loc = f"{where}: edge {k}"
+            if not isinstance(entry, dict):
+                raise FormatError(f"{loc}: expected an object")
+            _get_int(entry, "i", loc)
+            _get_int(entry, "j", loc)
+            w = _get(entry, "w", loc)
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise FormatError(f"{loc}: 'w' must be a number, got {w!r}")
+            sigma = _get(entry, "sigma", loc)
+            if not isinstance(sigma, list) or len(sigma) != d * d:
+                raise FormatError(
+                    f"{loc}: 'sigma' must be a flat row-major list of {d * d} numbers"
+                )
+        columns = _columns(edges)  # each edge passed, with a subclass of some type
+    tails, heads, weights, rows = columns
     m = len(edges)
-    edge_index = np.array([(e["i"], e["j"]) for e in edges], dtype=int).reshape(m, 2)
-    weights = np.array([e["w"] for e in edges], dtype=float)
+    edge_index = np.array([tails, heads], dtype=int).T.copy()
+    weights = np.array(weights, dtype=float)
     # an empty list would read as shape (0,)
-    rows = [e["sigma"] for e in edges] or np.zeros((0, d * d))
+    rows = rows or np.zeros((0, d * d))
     try:
         sigmas = _as_array(rows, (m, d * d), where)
     except FormatError:

@@ -9,7 +9,6 @@ that feed a small deterministic spectral clustering.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +173,8 @@ def distance_matrix(
 
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         g.kernel  # once here, not once per worker: the pickle carries it
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(g, fields, opts)

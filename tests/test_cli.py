@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import resource
 import subprocess
 import sys
 
@@ -144,6 +146,48 @@ def test_check_refuses_an_integer_past_64_bits(tmp_path, capsys, doc, message):
     gp.write_text(doc)
     assert main(["check", str(gp)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+#: Address space of a capped ``conbeck check``: room for the interpreter and
+#: NumPy, none for a list or array with one entry per vertex of a huge graph.
+CHECK_ADDRESS_SPACE = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHECK_ADDRESS_SPACE, CHECK_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "n, edges, first",
+    [
+        (10**10, [(0, 1)], 2),
+        # the pair code lo * n + hi wrapped past 2**63 and made edge 1 a
+        # duplicate of edge 0
+        (2**33, [(0, 2**31 + 5), (2**31, 2**31 + 5)], 1),
+    ],
+    ids=["few-edges", "pair-code-past-64-bits"],
+)
+def test_check_on_a_huge_vertex_count_allocates_for_the_edges_only(tmp_path, n, edges, first):
+    # a few-byte document must not make validation allocate O(n); the cap
+    # turns such an allocation into a quick failure
+    gp = tmp_path / "g.json"
+    edge_list = [{"i": i, "j": j, "w": 1.0, "sigma": [1.0]} for i, j in edges]
+    gp.write_text(json.dumps({"n": n, "d": 1, "edges": edge_list}))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "conbeck", "check", str(gp)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    unreachable = n - len(edges) - 1
+    assert proc.stdout.splitlines() == [
+        f"graph: n={n} d=1 m={len(edges)}",
+        "invalid:",
+        f"  graph is disconnected ({unreachable} vertices unreachable from 0, e.g. vertex {first})",
+    ]
 
 
 # ------------------------------------------------------------------ feasible
@@ -824,18 +868,23 @@ def test_cli_import_leaves_scipy_spatial_out():
     assert proc.stdout.strip() == "False"
 
 
-#: Prints the sorted names of the loaded scipy modules as the last line.
-LIST_SCIPY = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+def _list_modules(packages):
+    """Code that prints the sorted names of the loaded modules of the
+    top-level ``packages`` as its last line."""
+    return f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))"
 
 
-def _run_commands(runs):
+LIST_SCIPY = _list_modules(("scipy",))
+
+
+def _run_commands(runs, packages=("scipy",)):
     """Exit codes of ``main`` on each argument list, run in one fresh
-    interpreter, and the scipy modules it loaded."""
+    interpreter, and the modules of ``packages`` it loaded."""
     code = "\n".join([
         "import json, sys",
         "from conbeck.cli import main",
         f"print(json.dumps([main(argv) for argv in {runs!r}]))",
-        LIST_SCIPY,
+        _list_modules(packages),
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -878,6 +927,43 @@ def test_flat_verdicts_and_cluster_load_no_scipy(tmp_path):
     assert codes == [0, 0, 3, 0]
     assert "kernel dimension: 2" in out
     assert modules == []
+
+
+#: Modules that only buildgraph, hurdat, interp, distmat or a process pool
+#: need.
+OTHER_COMMANDS_MODULES = {
+    "conbeck.manifold", "conbeck.hurdat", "conbeck.toolkit", "concurrent.futures", "multiprocessing"
+}
+
+
+def test_flat_verdicts_and_cluster_load_only_their_own_modules(tmp_path):
+    rng = np.random.default_rng(41)
+    flat, _ = flat_sphere_patch(rng)
+    alpha = rng.standard_normal((flat.n, 2))
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("g", "a")}
+    io.save_graph(paths["g"], flat)
+    io.save_field(paths["a"], alpha)
+    packages = ("conbeck", "concurrent", "multiprocessing")
+    _, codes, modules = _run_commands(
+        [["check", paths["g"]], ["feasible", paths["g"], paths["a"], paths["a"]]], packages
+    )
+    assert codes == [0, 0]
+    assert "conbeck.feasibility" in modules
+    assert not OTHER_COMMANDS_MODULES & set(modules)
+    # cluster runs spectral_cluster from toolkit, which starts no pool
+    io.save_matrix(tmp_path / "D.csv", np.array([[0.0, 1.0], [1.0, 0.0]]))
+    argv = ["cluster", str(tmp_path / "D.csv"), "--k", "2", "-o", str(tmp_path / "labels.csv")]
+    _, codes, modules = _run_commands([argv], packages)
+    assert codes == [0]
+    assert not (OTHER_COMMANDS_MODULES - {"conbeck.toolkit"}) & set(modules)
+
+
+def test_package_import_loads_no_submodule():
+    # each module loads on first use of one of its names
+    code = f"import json, sys, conbeck\n{_list_modules(('conbeck',))}"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["conbeck"]
 
 
 def test_buildgraph_and_hurdat_load_no_scipy(tmp_path):

@@ -81,6 +81,22 @@ def test_validate_rejects_disconnected():
     assert any("disconnected" in v for v in validate_graph(g))
 
 
+@pytest.mark.parametrize(
+    "n, edges, missing, first",
+    [
+        (6, [(0, 1), (1, 2), (3, 4)], 3, 3),  # a touched vertex first
+        (5, [(0, 2), (2, 4)], 2, 1),  # isolated vertices in the gaps
+        (4, [(0, 1), (1, 2)], 1, 3),  # past the last reached vertex
+        (3, [(1, 2)], 2, 1),  # vertex 0 touched by no edge
+    ],
+)
+def test_validate_names_the_first_unreachable_vertex(n, edges, missing, first):
+    g = ConnectionGraph.trivial(n, 1, [(i, j, 1.0) for i, j in edges])
+    assert validate_graph(g) == [
+        f"graph is disconnected ({missing} vertices unreachable from 0, e.g. vertex {first})"
+    ]
+
+
 def test_validate_reports_every_fault_in_order():
     sheared = [[1.0, 0.5], [0.0, 1.0]]
     g = ConnectionGraph(

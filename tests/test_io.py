@@ -167,6 +167,38 @@ def test_table_writers_match_json_dump(tmp_path, monkeypatch, chunk_rows):
         assert_text(lambda path, s: save_trajectory(path, s, ambient), states, with_ambient)
 
 
+@pytest.mark.parametrize("chunk_rows", [3, 2048])
+def test_zero_rows_match_json_dump(tmp_path, monkeypatch, chunk_rows):
+    # rows of +0.0 share one string formatted per table; rows with -0.0,
+    # NaN or infinities are formatted like any other
+    monkeypatch.setattr(io_module, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "t.json"
+    nan, inf = float("nan"), float("inf")
+    kinds = np.array([
+        [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 1.5],
+        [nan, 0.0], [0.0, nan], [inf, 0.0], [0.0, -inf], [5e-324, 0.0],
+    ])
+    mixed = kinds[np.random.default_rng(80).integers(0, len(kinds), 40)]
+    for field in [mixed, np.zeros((7, 2)), -np.zeros((7, 2)), np.full((4, 2), nan), kinds]:
+        save_field(path, field)
+        assert path.read_text() == json.dumps(field_to_dict(field), indent=2) + "\n"
+        frames = field.reshape(-1, 2, 1)
+        save_frames(path, frames)
+        assert path.read_text() == json.dumps(frames_to_dict(frames), indent=2) + "\n"
+        states = [field, np.zeros_like(field), field]
+        ambient = [np.zeros((len(field), 3)), np.ones((len(field), 3)), -np.zeros((len(field), 3))]
+        save_trajectory(path, states, ambient)
+        obj = trajectory_to_dict(states, ambient)
+        assert path.read_text() == json.dumps(obj, indent=2) + "\n"
+    # integer columns keep their zeros as 0 beside the float 0.0
+    zero, eye = np.zeros((2, 2)), np.eye(2)
+    g = ConnectionGraph(3, 2, [(0, 0), (0, 1), (0, 0), (0, 0)], [0.0, 1.0, -0.0, 0.0],
+                        [zero, eye, zero, -zero])
+    save_graph(path, g)
+    assert path.read_text() == json.dumps(graph_to_dict(g), indent=2) + "\n"
+    assert '"i": 0,\n      "j": 0,\n      "w": 0.0,' in path.read_text()
+
+
 def test_graph_load_reprojects_noisy_sigma(tmp_path):
     rng = np.random.default_rng(71)
     sigma = random_orthogonal(2, rng) + rng.standard_normal((2, 2)) * 1e-10

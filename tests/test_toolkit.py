@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -231,7 +233,8 @@ class RecordingPool:
 
 @pytest.mark.parametrize("k, jobs, sizes", [(3, 64, [3]), (3, 2, [2]), (2, 8, [])])
 def test_distance_matrix_starts_at_most_one_worker_per_pair(sign_path, monkeypatch, k, jobs, sizes):
-    monkeypatch.setattr(toolkit, "ProcessPoolExecutor", RecordingPool)
+    # distance_matrix imports the pool class where it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(toolkit, "_WORKER_STATE", None)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     fields = [pseudo_dirac(3, 1, node, 0) for node in range(k)]
