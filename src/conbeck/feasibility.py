@@ -187,25 +187,32 @@ def _lowest_modes(g: ConnectionGraph):
     their eigenvalues, and the scale ``max(lambda_max, 1)``.
 
     Shift-invert ``eigsh`` returns them, its ``k`` doubling until the
-    largest returned eigenvalue passes the threshold.  A dense ``eigh`` of
-    L serves only where the Lanczos basis of ``k`` modes would not be
-    smaller than L (see ``ARPACK_MIN_NCV``).  Every ``eigsh`` call starts
-    from the same vector, so the modes are reproducible bit for bit.
+    largest returned eigenvalue passes the threshold.  L - sigma I is
+    factored once, as ``eigsh`` itself would factor it (CSC, SuperLU's
+    default ordering), and every call solves with that one LU.  A dense
+    ``eigh`` of L serves only where the Lanczos basis of ``k`` modes would
+    not be smaller than L (see ``ARPACK_MIN_NCV``).  Every ``eigsh`` call
+    starts from the same vector, so the modes are reproducible bit for bit.
     Reached only through :attr:`ConnectionGraph.near_kernel_modes`.
     """
-    from scipy.sparse.linalg import eigsh  # only these modes need it; keeps CLI start-up light
+    # only these modes need SciPy; keeps CLI start-up light
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
     lap = g.laplacian_matrix
     size = lap.shape[0]
     k = 2 * g.d + 2
-    threshold = None
+    shift_inverse = None
     while size > max(2 * k + 1, ARPACK_MIN_NCV):
-        if threshold is None:
+        if shift_inverse is None:
             v0 = np.random.default_rng(0).standard_normal(size)
             lam_max = eigsh(lap, 1, which="LA", v0=v0, return_eigenvectors=False)[0]
             scale = max(float(lam_max), 1.0)
             threshold = NEAR_KERNEL_RATIO * scale
-        vals, vecs = eigsh(lap, k, sigma=MODE_SHIFT * scale, v0=v0)
+            sigma = MODE_SHIFT * scale
+            lu = splu((lap - sigma * sp.eye(size)).tocsc())
+            shift_inverse = LinearOperator(lap.shape, matvec=lu.solve, dtype=lap.dtype)
+        vals, vecs = eigsh(lap, k, sigma=sigma, v0=v0, OPinv=shift_inverse)
         if vals.max() > threshold:
             keep = vals <= threshold
             return vecs[:, keep], vals[keep], scale

@@ -132,6 +132,33 @@ def _bfs(n, edge_index, sources):
     return np.array(order, dtype=int), np.array(parent, dtype=int), np.array(hops, dtype=int)
 
 
+def _component_of_zero(n, edge_index):
+    """Mask of the vertices in vertex 0's component, shape (n,).
+
+    Each round hooks, for every edge whose endpoints have different roots,
+    the larger root under the smaller one, then shortcuts every vertex to
+    its root.  Every root with an edge to another root merges in each
+    round, so the roots of a component at least halve: at most
+    ``log2(n) + 1`` rounds of whole-array operations, with no per-vertex
+    Python loop.
+    """
+    i, j = np.asarray(edge_index, dtype=int).reshape(-1, 2).T
+    root = np.arange(n)
+    while True:
+        ri, rj = root[i], root[j]
+        cross = ri != rj
+        if not cross.any():
+            return root == root[:1]  # empty when n = 0
+        # roots only merge, so an edge inside one component stays inside it
+        i, j, ri, rj = i[cross], j[cross], ri[cross], rj[cross]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
 def _index_oriented(edge_index, sigmas):
     """Edges given as ``(j, i)`` with ``j > i`` flipped to ``(i, j)``, their
     sigma transposed; returns new ``(edge_index, sigmas)`` arrays."""
@@ -254,10 +281,10 @@ class ConnectionGraph:
                 f"edge {e}: sigma is not orthogonal (|sigma^T sigma - I|_max = {defect[e]:.3g})"
             )
         if n > 1 and not out:
-            # search over vertex 0 and the vertices the edges touch, relabelled
+            # join vertex 0 and the vertices the edges touch, relabelled
             # 0, 1, ... in order, so the cost does not grow with n
             labels, local = np.unique(np.append(0, self.edge_index), return_inverse=True)
-            reached = labels[_bfs(labels.size, local[1:].reshape(-1, 2), [0])[2] >= 0]
+            reached = labels[_component_of_zero(labels.size, local[1:].reshape(-1, 2))]
             if reached.size < n:
                 # reached is sorted and starts at 0: the first unreached
                 # vertex is its first gap

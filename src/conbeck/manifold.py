@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidGraphError
-from .graph import ConnectionGraph, _bfs, _neighbours
+from .graph import ConnectionGraph, _component_of_zero, _neighbours
 
 __all__ = [
     "GraphSkeleton",
@@ -136,29 +136,41 @@ def epsilon_graph(cloud, eps, weights="inverse"):
     if not np.isfinite(cloud).all():
         raise InvalidGraphError("cloud has non-finite coordinates")
     n = cloud.shape[0]
-    kept, coincident = [], []
+    keys, dists, coincident = [], [], []
     for i, j in _grid_pairs(cloud, eps):
         diff = cloud.take(i, axis=0) - cloud.take(j, axis=0)
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        del diff
         dup = dist == 0.0
         if dup.any():
             coincident.append(np.stack([i[dup], j[dup]], axis=1))
         keep = dist < eps
-        kept.append((i[keep], j[keep], dist[keep]))
+        i, j = i[keep], j[keep]
+        # each kept pair once, as the code lo * n + hi of its index-oriented ends
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        dists.append(dist[keep])
     if coincident:
         a, b = min(tuple(sorted(pair)) for pair in np.concatenate(coincident).tolist())
         raise InvalidGraphError(
             f"coincident points {a} and {b}; duplicate positions are not allowed"
         )
-    i, j, d_edge = (np.concatenate(parts) for parts in zip(*kept))
-    iu, ju = np.minimum(i, j), np.maximum(i, j)
-    by_pair = np.argsort(iu * n + ju)
-    edge_index = np.stack([iu[by_pair], ju[by_pair]], axis=1)
+    # concatenate, sort and split one array at a time, freeing each input
+    key = np.concatenate(keys)
+    del keys
+    d_edge = np.concatenate(dists)
+    del dists
+    by_pair = np.argsort(key)
+    key = key[by_pair]
     d_edge = d_edge[by_pair]
+    del by_pair
+    edge_index = np.empty((key.size, 2), dtype=key.dtype)
+    np.floor_divide(key, n, out=edge_index[:, 0])
+    np.remainder(key, n, out=edge_index[:, 1])
+    del key
     w = 1.0 / d_edge if weights == "inverse" else np.ones_like(d_edge)
 
     isolated = np.flatnonzero(np.bincount(edge_index.reshape(-1), minlength=n) == 0).tolist()
-    connected = bool((_bfs(n, edge_index, [0] if n else [])[2] >= 0).all())
+    connected = bool(_component_of_zero(n, edge_index).all())
     return GraphSkeleton(n, edge_index, w, d_edge, isolated, connected)
 
 
@@ -240,22 +252,31 @@ def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
 #: :func:`procrustes_connection` warns of alignments with a singular value at or below this.
 DEGENERATE_TOL = 1e-8
 
+#: :func:`procrustes_connection` aligns at most this many edges at once.
+PROCRUSTES_BLOCK = 1 << 12
+
 
 def procrustes_connection(frames, skeleton: GraphSkeleton):
     """Connection graph with ``sigma_ij`` the orthogonal Procrustes fit.
 
     For each skeleton edge the alignment ``O_i^T O_j`` is projected to the
-    nearest orthogonal matrix through its SVD ``U V^T``.  Edges whose
-    alignment is numerically rank deficient (smallest singular value at or
-    below :data:`DEGENERATE_TOL`) are flagged with a warning: their
-    Procrustes fit is not unique.
+    nearest orthogonal matrix through its SVD ``U V^T``, in blocks of at
+    most ``PROCRUSTES_BLOCK`` edges written into one (m, d, d) array.
+    Edges whose alignment is numerically rank deficient (smallest singular
+    value at or below :data:`DEGENERATE_TOL`) are flagged with a warning:
+    their Procrustes fit is not unique.
     """
     frames = np.asarray(frames, dtype=float)
     n, _, d = frames.shape
     i, j = skeleton.edge_index.T
-    u, s, vt = np.linalg.svd(np.swapaxes(frames[i], 1, 2) @ frames[j])
-    sigmas = u @ vt
-    flagged = np.flatnonzero(s.min(axis=-1) <= DEGENERATE_TOL).tolist()
+    sigmas = np.empty((skeleton.m, d, d))
+    smallest = np.empty(skeleton.m)
+    for start in range(0, skeleton.m, PROCRUSTES_BLOCK):
+        block = slice(start, start + PROCRUSTES_BLOCK)
+        u, s, vt = np.linalg.svd(np.swapaxes(frames[i[block]], 1, 2) @ frames[j[block]])
+        np.matmul(u, vt, out=sigmas[block])
+        smallest[block] = s.min(axis=-1)
+    flagged = np.flatnonzero(smallest <= DEGENERATE_TOL).tolist()
     if flagged:
         warnings.warn(
             f"{len(flagged)} edge(s) have rank-deficient frame alignments "

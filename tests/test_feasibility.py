@@ -9,6 +9,7 @@ alpha = delta_0, beta(2) = -1 gives (1 + (-1))/sqrt(3) = 0 (feasible).
 
 from __future__ import annotations
 
+import importlib
 import pickle
 import tracemalloc
 
@@ -363,6 +364,39 @@ def test_project_feasible_sparse_matches_dense():
         assert used == count
         assert np.abs(out - expected).max() <= 1e-12
         assert np.array_equal(out, project_feasible(g, stack))
+
+
+def test_lowest_modes_factor_the_shifted_laplacian_once(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    factored, shift_invert_k = [], []
+    splu, eigsh = spla.splu, spla.eigsh
+
+    def counting_splu(*args, **kwargs):
+        factored.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    def recording_eigsh(lap, k, **kwargs):
+        if kwargs.get("sigma") is not None:
+            shift_invert_k.append(k)
+        return eigsh(lap, k, **kwargs)
+
+    # eigsh factors L - sigma I through its own module's splu unless it is
+    # handed the inverse
+    for module in (spla, arpack):
+        monkeypatch.setattr(module, "splu", counting_splu)
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    g = make_path_graph(400, 1)
+    vecs, vals, scale = feasibility._lowest_modes(g)
+    monkeypatch.undo()
+    assert shift_invert_k == [4, 8, 16]
+    assert factored == [(400, 400)]
+    eigs, dense = np.linalg.eigh(g.laplacian_matrix.toarray())
+    assert vals.size == 9 and abs(scale - max(eigs[-1], 1.0)) <= 1e-10
+    assert np.abs(vals - eigs[:9]).max() <= 1e-10
+    # the path's eigenvalues are simple: each mode is the dense one up to sign
+    assert np.abs(np.abs(dense[:, :9].T @ vecs) - np.eye(9)).max() <= 1e-10
 
 
 def test_project_feasible_num_modes_override(diamond):

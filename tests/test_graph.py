@@ -7,15 +7,19 @@ definitions (incidence blocks +I / -sigma^T, Laplacian blocks deg*I and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conbeck import graph
 from conbeck.errors import InvalidGraphError
 from conbeck.graph import (
     ConnectionGraph,
     _bfs,
+    _component_of_zero,
     apply_B,
     apply_BT,
     bfs_tree,
@@ -460,6 +464,71 @@ def test_bfs_is_the_queue_bfs(instance):
     order, parent, hops = _bfs(n, edge_index, sources)
     assert (order.tolist(), parent.tolist(), hops.tolist()) == queue_bfs(g, sources)
 
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(bfs_instances())
+def test_component_of_zero_is_the_bfs_reach_from_zero(instance):
+    n, edges, _ = instance
+    edge_index = np.array(edges, dtype=int).reshape(-1, 2)
+    assert np.array_equal(_component_of_zero(n, edge_index), _bfs(n, edge_index, [0])[2] >= 0)
+
+
+def _random_edge_lists(rng):
+    """Edge lists with their vertex counts: connected, disconnected, with
+    isolated vertices, and a single vertex."""
+    connected = random_connected_graph(rng, n=40, d=1, extra_edges=30)
+    yield connected.n, connected.edge_index
+    # two connected halves, the second relabelled to 20..39
+    halves = random_connected_graph(rng, n=20, d=1, extra_edges=10).edge_index
+    yield 40, np.concatenate([halves, halves + 20])
+    # few random pairs among many vertices: most of them isolated
+    pairs = rng.choice(60, size=(25, 2))
+    yield 60, pairs[pairs[:, 0] != pairs[:, 1]]
+    yield 1, np.zeros((0, 2), dtype=int)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_of_zero_on_random_graphs(seed):
+    for n, edge_index in _random_edge_lists(np.random.default_rng(seed)):
+        expected = _bfs(n, edge_index, [0])[2] >= 0
+        assert np.array_equal(_component_of_zero(n, edge_index), expected)
+
+
+class _CountingHooks:
+    """Stands in for NumPy inside ``conbeck.graph`` and counts the calls of
+    ``np.minimum.at``: one per round of :func:`_component_of_zero`."""
+
+    def __init__(self):
+        self.rounds = 0
+        counter = self
+
+        class Minimum:
+            __call__ = staticmethod(np.minimum)
+
+            @staticmethod
+            def at(*args):
+                counter.rounds += 1
+                np.minimum.at(*args)
+
+        self.minimum = Minimum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_component_of_zero_takes_logarithmic_rounds_on_a_shuffled_path(monkeypatch, seed):
+    # min-label propagation that hooks vertices, not roots, needs n rounds here
+    n = 20_000
+    label = np.random.default_rng(seed).permutation(n)
+    edge_index = np.sort(np.stack([label[:-1], label[1:]], axis=1), axis=1)
+    hooks = _CountingHooks()
+    monkeypatch.setattr(graph, "np", hooks)
+    reached = _component_of_zero(n, edge_index)
+    monkeypatch.undo()
+    assert reached.all()
+    assert 0 < hooks.rounds <= 2 * math.log2(n)
 
 
 def test_traversals_on_a_path_five_thousand_levels_deep():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -351,6 +354,77 @@ def test_procrustes_flags_degenerate_alignment():
     # the produced matrix is still orthogonal
     assert validate_graph(g) == []
 
+
+def _frames_with_degenerate_edges():
+    """Path 0-1-...-9 with random frames in R^4, d = 2, except that vertex
+    3's frame is perpendicular to those of 2 and 4, and vertex 9's to 8's:
+    edges 2, 3 and 8 have rank-deficient alignments."""
+    rng = np.random.default_rng(54)
+    plane = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    frames = np.stack([np.linalg.qr(rng.standard_normal((4, 2)))[0] for _ in range(10)])
+    frames[[2, 4, 8]] = np.concatenate([plane, np.zeros((2, 2))])
+    frames[[3, 9]] = np.concatenate([np.zeros((2, 2)), plane])
+    return frames, epsilon_graph(np.arange(10.0)[:, None], eps=1.5)
+
+
+def _procrustes_and_warning(frames, sk):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = procrustes_connection(frames, sk)
+    return g.sigmas, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("block", [1, 3, manifold.PROCRUSTES_BLOCK])
+def test_procrustes_blocks_equal_one_block_of_every_edge(monkeypatch, block):
+    frames, sk = _frames_with_degenerate_edges()
+    cloud = sample_torus(10, 40)
+    torus = epsilon_graph(cloud, eps=3.0)
+    torus_frames = tangent_frames(cloud, torus, d=2, eps=3.0)
+    monkeypatch.setattr(manifold, "PROCRUSTES_BLOCK", max(sk.m, torus.m))
+    whole, whole_warning = _procrustes_and_warning(frames, sk)
+    whole_torus = procrustes_connection(torus_frames, torus).sigmas
+    monkeypatch.setattr(manifold, "PROCRUSTES_BLOCK", block)
+    # with blocks of 3, edges 2 | 3 straddle the first boundary
+    blocked, blocked_warning = _procrustes_and_warning(frames, sk)
+    assert np.array_equal(blocked, whole)
+    assert blocked_warning == whole_warning == [
+        "3 edge(s) have rank-deficient frame alignments (first few: [2, 3, 8]); "
+        "their connection matrices are not unique"
+    ]
+    assert np.array_equal(procrustes_connection(torus_frames, torus).sigmas, whole_torus)
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        out = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+#: The mesh of the memory tests: 3 200 points, 71 456 edges at eps 0.1.
+MEMORY_PATCH, MEMORY_EPS = (40, 80), 0.1
+
+
+def test_epsilon_graph_memory_per_edge():
+    # the skeleton takes 32 bytes per edge; the bound leaves room for one
+    # sort, not for several temporaries with a row per candidate pair
+    cloud = sample_sphere_patch(*MEMORY_PATCH)[0]
+    sk, peak = _traced_peak(epsilon_graph, cloud, MEMORY_EPS)
+    assert sk.m == 71_456
+    assert peak <= 140 * sk.m
+
+
+def test_procrustes_memory_per_edge():
+    # the sigmas take 32 bytes per edge (d = 2); the bound leaves room for
+    # fixed-size blocks, not for (m, d, d) temporaries
+    cloud = sample_sphere_patch(*MEMORY_PATCH)[0]
+    sk = epsilon_graph(cloud, MEMORY_EPS)
+    frames = tangent_frames(cloud, sk, 2, MEMORY_EPS)
+    _, peak = _traced_peak(procrustes_connection, frames, sk)
+    assert peak <= 80 * sk.m
 
 def test_procrustes_torus_output_valid_and_inconsistent():
     cloud = sample_torus(10, 40)
