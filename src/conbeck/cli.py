@@ -33,8 +33,9 @@ from .solver import SolveOptions, solve_regularized
 
 __all__ = ["main"]
 
-#: Below this fraction of the largest edge weight, lambda is refused
-#: without --allow-small-lambda (small lambda makes the ascent unstable).
+#: Below this fraction of the largest edge weight, a positive lambda is
+#: refused without --allow-small-lambda (small lambda makes the ascent
+#: unstable); the solver itself refuses lambda that is not positive and finite.
 SMALL_LAMBDA_FRACTION = 1e-3
 
 
@@ -48,7 +49,7 @@ def _sibling(path, suffix):
 
 
 def _check_lambda(args, g):
-    if args.lam < SMALL_LAMBDA_FRACTION * g.w_max and not args.allow_small_lambda:
+    if 0 < args.lam < SMALL_LAMBDA_FRACTION * g.w_max and not args.allow_small_lambda:
         _err(
             f"lambda {args.lam!r} is below {SMALL_LAMBDA_FRACTION:g} * w_max "
             f"= {SMALL_LAMBDA_FRACTION * g.w_max!r} and may be unstable; "

@@ -19,13 +19,19 @@ with ``g = B^T phi``.  The sign is pinned by the requirement
 exactly the constraint residual ``c - B J(phi)``, so the stopping
 gradient norm doubles as a feasibility certificate for the reported flow.
 
-Each epoch runs component-major: ``B^T phi`` comes out as a (d, m) array
-whose row ``a`` holds component ``a`` of every edge, because the rows of
-``B^T`` and the columns of ``B`` are reordered once per solve.  The edge
-norms are then sums of d contiguous rows, and the shrink factor, the flow
-and the residual are formed in buffers allocated before the first epoch.
-Every sum keeps its terms and their order, so the iterates are those of
-the edge-major formulas bit for bit.
+One private evaluator per ``(g, c, lam)`` computes all of it at a given
+``phi``: ``g = B^T phi``, the excess ``|g_e| - w(e)``, the closed-form flow
+and the residual ``c - B J``.  The ascent runs it once per epoch, the
+report reads the dual value and the gap from its final evaluation, and
+:func:`recover_primal`, :func:`dual_gradient` and :func:`dual_objective`
+are each one evaluation.  It works component-major: ``B^T phi`` comes out
+as a (d, m) array whose row ``a`` holds component ``a`` of every edge,
+because the rows of ``B^T`` and the columns of ``B`` are reordered once
+per evaluator.  The edge norms are then sums of d contiguous rows, and
+the shrink factor, the flow and the residual are formed in buffers
+allocated before the first evaluation.  Every sum keeps its terms and
+their order, so the results are those of the edge-major formulas bit for
+bit.
 
 :func:`wasserstein_lp` gives the exact linear-programming value for d = 1.
 """
@@ -39,7 +45,7 @@ import numpy as np
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .feasibility import require_feasible
-from .graph import ConnectionGraph, apply_B, apply_BT
+from .graph import ConnectionGraph, apply_BT
 
 __all__ = [
     "SolveOptions",
@@ -108,76 +114,83 @@ def _edge_norms(flow):
     return np.linalg.norm(flow, axis=1)
 
 
-def _coef(norms, w, lam, out=None):
-    """Shrink factor of the closed-form flow, ``(|g_e| - w_e) / (lam |g_e|)``
-    on active edges (``|g_e| > w_e``) and exactly zero elsewhere.
+class _Dual:
+    """The smooth dual of one ``(g, c, lam)``, evaluated component-major.
 
-    Consumes ``norms`` (it is overwritten) and writes into ``out`` when
-    given.  A zero norm divides by zero to ``-inf``, which the clip at
-    zero removes; callers silence that warning.
+    :meth:`evaluate` fills, for one ``phi``, the buffers ``excess``
+    (``|g_e| - w_e``), ``coef`` (the shrink factor of the closed-form flow),
+    ``flow`` (that flow, (d, m)) and ``grad`` (the residual ``c - B J``,
+    which is the dual gradient); :meth:`value` reads the dual value off
+    the last evaluation.
     """
-    out = np.multiply(norms, lam, out=out)
-    norms -= w
-    np.divide(norms, out, out=out)
-    return np.maximum(out, 0.0, out=out)
+
+    def __init__(self, g, c, lam):
+        m, d = g.m, g.d
+        # entry a m + e of a component-major edge vector is component a of
+        # edge e, entry e d + a of an edge-major one; SciPy's selection of
+        # the rows of B^T and the columns of B keeps each row's entries in
+        # storage order, so every product sums the same terms in the same order
+        order = (np.arange(m) * d + np.arange(d)[:, None]).ravel()
+        self.bmat_t = g.incidence_matrix_T[order]
+        self.bmat = g.incidence_matrix[:, order]
+        self.w, self.c, self.lam = g.weights, c.reshape(-1), lam
+        self.excess = np.empty(m)
+        self.coef = np.empty(m)
+        self.flow = np.empty((d, m))
+        self.grad = np.empty(g.n * d)
+
+    def evaluate(self, phi):
+        """Evaluate at the flat ``phi``.  A zero norm divides by zero to
+        ``-inf``, which the clip at zero removes; callers silence that warning."""
+        gvals = (self.bmat_t @ phi).reshape(self.flow.shape)
+        norms, coef = self.excess, self.coef
+        # the squares are summed left to right, the order NumPy's pairwise
+        # sum takes for fewer than eight terms, so the norms equal those of
+        # np.linalg.norm on the edge-major array bit for bit
+        if len(gvals) >= 8:
+            norms[:] = np.linalg.norm(np.ascontiguousarray(gvals.T), axis=1)
+        else:
+            np.multiply(gvals[0], gvals[0], out=norms)
+            for row in gvals[1:]:
+                norms += np.multiply(row, row, out=coef)
+            np.sqrt(norms, out=norms)
+        # coef = (|g_e| - w_e) / (lam |g_e|) on active edges, exactly 0 elsewhere
+        np.multiply(norms, self.lam, out=coef)
+        norms -= self.w
+        np.divide(norms, coef, out=coef)
+        np.maximum(coef, 0.0, out=coef)
+        np.multiply(gvals, coef, out=self.flow)
+        np.subtract(self.c, self.bmat @ self.flow.reshape(-1), out=self.grad)
+
+    def value(self, phi):
+        """Dual value at ``phi``, the point of the last evaluation."""
+        penalty = np.where(self.excess > 0, self.excess, 0.0)
+        return float(np.vdot(phi, self.c) - (penalty @ penalty) / (2.0 * self.lam))
 
 
-def _component_major(g):
-    """``(B^T, B)`` for component-major edge vectors.
-
-    Entry ``a m + e`` of such a vector is component ``a`` of edge ``e``,
-    which is entry ``e d + a`` of the edge-major vectors of
-    :attr:`ConnectionGraph.incidence_matrix`.  SciPy's selection of the
-    rows of ``B^T`` and the columns of ``B`` keeps each row's entries in
-    storage order, so every product sums the same terms in the same order.
-    """
-    m, d = g.m, g.d
-    order = (np.arange(m) * d + np.arange(d)[:, None]).ravel()
-    return g.incidence_matrix_T[order], g.incidence_matrix[:, order]
-
-
-def _component_norms(gvals, out, scratch):
-    """Edge norms of a component-major (d, m) array, written into ``out``.
-
-    The squares are summed left to right, the order NumPy's pairwise sum
-    takes for fewer than eight terms, so the norms equal
-    :func:`_edge_norms` of the edge-major array bit for bit; from eight
-    components on, they are that function's.
-    """
-    if gvals.shape[0] >= 8:
-        out[:] = _edge_norms(np.ascontiguousarray(gvals.T))
-        return out
-    np.multiply(gvals[0], gvals[0], out=out)
-    for row in gvals[1:]:
-        out += np.multiply(row, row, out=scratch)
-    return np.sqrt(out, out=out)
+def _evaluated(g, phi, c, lam):
+    """The dual of ``(g, c, lam)`` evaluated once at ``phi``."""
+    lam = _resolve_lam(g, lam)
+    phi = np.asarray(phi, dtype=float).reshape(-1)
+    dual = _Dual(g, np.asarray(c, dtype=float).reshape(g.n, g.d), lam)
+    with np.errstate(divide="ignore"):
+        dual.evaluate(phi)
+    return dual
 
 
 def dual_objective(g: ConnectionGraph, phi, c, lam):
     """Value of the regularized dual at ``phi``."""
-    lam = _resolve_lam(g, lam)
-    phi = np.asarray(phi, dtype=float).reshape(g.n, g.d)
-    c = np.asarray(c, dtype=float).reshape(g.n, g.d)
-    gvals = apply_BT(g, phi)
-    excess = _edge_norms(gvals) - g.weights
-    penalty = np.where(excess > 0, excess, 0.0)
-    return float(np.vdot(phi, c) - (penalty @ penalty) / (2.0 * lam))
+    return _evaluated(g, phi, c, lam).value(np.asarray(phi, dtype=float))
 
 
 def recover_primal(g: ConnectionGraph, phi, lam):
     """Closed-form flow from a dual variable; exactly zero on inactive edges."""
-    lam = _resolve_lam(g, lam)
-    gvals = apply_BT(g, phi)
-    with np.errstate(divide="ignore"):
-        coef = _coef(_edge_norms(gvals), g.weights, lam)
-    return coef[:, None] * gvals
+    return np.ascontiguousarray(_evaluated(g, phi, np.zeros(g.n * g.d), lam).flow.T)
 
 
 def dual_gradient(g: ConnectionGraph, phi, c, lam):
     """Gradient of the dual: the constraint residual ``c - B J(phi)``."""
-    c = np.asarray(c, dtype=float).reshape(g.n, g.d)
-    flow = recover_primal(g, phi, lam)
-    return c - apply_B(g, flow)
+    return _evaluated(g, phi, c, lam).grad.reshape(g.n, g.d)
 
 
 def primal_cost(g: ConnectionGraph, flow, lam):
@@ -232,29 +245,20 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
     if grad_tol is None:
         grad_tol = 1e-8 * (1.0 + float(np.linalg.norm(c_vec)))
 
-    bmat_t, bmat = _component_major(g)
-    w = g.weights
-    m, d = g.m, g.d
+    dual = _Dual(g, c, lam)
     lr = float(opts.learning_rate)
-    phi = np.zeros(g.n * d)
-    grad = np.empty_like(phi)
+    phi = np.zeros(g.n * g.d)
     step = np.empty_like(phi)
-    norms = np.empty(m)
-    coef = np.empty(m)
-    flow = np.empty((d, m))
 
     epochs_used = 0
     converged = False
     # a diverging ascent overflows on its way to the non-finite residual
     # that the loop reports, so overflow warnings would only repeat it;
-    # _coef divides by the zero norms of edges it then clips to zero
+    # the evaluation divides by the zero norms of edges it then clips to zero
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            gvals = (bmat_t @ phi).reshape(d, m)
-            _coef(_component_norms(gvals, norms, scratch=coef), w, lam, out=coef)
-            np.multiply(gvals, coef, out=flow)
-            np.subtract(c_vec, bmat @ flow.reshape(-1), out=grad)
-            grad_norm = float(np.linalg.norm(grad))
+            dual.evaluate(phi)
+            grad_norm = float(np.linalg.norm(dual.grad))
             if not math.isfinite(grad_norm):
                 raise NonConvergenceError(
                     f"dual ascent diverged at epoch {epochs_used}: the residual is "
@@ -266,24 +270,23 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
                 break
             if epochs_used >= opts.max_epochs:
                 break
-            phi += np.multiply(grad, lr, out=step)
+            phi += np.multiply(dual.grad, lr, out=step)
             epochs_used += 1
 
-    flow = np.ascontiguousarray(flow.T)
-    phi_field = phi.reshape(g.n, g.d)
+    flow = np.ascontiguousarray(dual.flow.T)
     cost = primal_cost(g, flow, lam)
-    dual = dual_objective(g, phi_field, c, lam)
+    value = dual.value(phi)
     report = SolveReport(
         primal_cost=cost,
-        dual_value=dual,
-        gap=cost - dual,
+        dual_value=value,
+        gap=cost - value,
         residual=grad_norm,
         epochs_used=epochs_used,
         converged=converged,
         lam=lam,
         learning_rate=lr,
     )
-    return flow, phi_field, report
+    return flow, phi.reshape(g.n, g.d), report
 
 
 def dual_feasible_unregularized(g: ConnectionGraph, phi, tol=1e-12):

@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import resource
+import shutil
 import subprocess
 import sys
 
@@ -235,6 +236,10 @@ def test_switch_writes_graph_and_tau(sign_path_files, capsys):
         (["buildgraph", "{points}", "--eps", "0", "--dim", "2", "-o", "{out}"], 1),
         (["interp", "{graph}", "{alpha}", "{flow}", "--steps", "-1", "-o", "{out}"], 1),
         (["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "inf", "-o", "{out}"], 2),
+        (["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "0", "-o", "{out}"], 2),
+        (["solve", "{graph}", "{alpha}", "{beta}", "--lambda=-1", "-o", "{out}"], 2),
+        (["distmat", "{graph}", "{fields}", "--lambda", "0", "-o", "{out}"], 2),
+        (["distmat", "{graph}", "{fields}", "--lambda=-1", "-o", "{out}"], 2),
         (["switch", "{graph}", "--root", "99", "-o", "{out}"], 2),
         (["switch", "{graph}", "--root", "-1", "-o", "{out}"], 2),
         (["cluster", "{points}", "--k", "0", "-o", "{out}"], 1),
@@ -249,7 +254,8 @@ def test_switch_writes_graph_and_tau(sign_path_files, capsys):
     ],
     ids=["check-tol-nan", "feasible-tol-nan", "feasible-tol-negative", "buildgraph-dim-0",
          "buildgraph-eps-negative", "buildgraph-eps-nan", "buildgraph-eps-inf", "buildgraph-eps-0",
-         "interp-steps-negative", "solve-lambda-inf", "switch-root-99", "switch-root-negative",
+         "interp-steps-negative", "solve-lambda-inf", "solve-lambda-0", "solve-lambda-negative",
+         "distmat-lambda-0", "distmat-lambda-negative", "switch-root-99", "switch-root-negative",
          "cluster-k-0", "cluster-k-negative", "cluster-k-above-size", "solve-active-edges-nan",
          "solve-active-edges-negative", "solve-active-edges-inf"],
 )
@@ -257,8 +263,12 @@ def test_out_of_range_values_exit_with_one_error_line(diamond_files, capsys, arg
     tmp, paths = diamond_files
     io.save_points(tmp / "points.csv", np.eye(3))
     io.save_flow(tmp / "flow.json", np.zeros((4, 1)))
+    (tmp / "fields").mkdir()
+    for name in ("alpha", "beta"):
+        shutil.copy(paths[name], tmp / "fields")
     names = {k: str(p) for k, p in paths.items()}
-    names.update(points=tmp / "points.csv", flow=tmp / "flow.json", out=tmp / "out.json")
+    names.update(points=tmp / "points.csv", flow=tmp / "flow.json", out=tmp / "out.json",
+                 fields=tmp / "fields")
     before = sorted(tmp.iterdir())
     assert main([arg.format(**names) for arg in argv]) == code
     err = capsys.readouterr().err

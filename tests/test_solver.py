@@ -379,6 +379,43 @@ def edge_major_ascent(g, alpha, beta, opts):
             epochs += 1
 
 
+def edge_major_flow(g, phi, lam):
+    """The closed-form flow by the edge-major formulas: ``B^T phi`` as an
+    (m, d) array, its row norms and the ``np.where`` shrink."""
+    gvals = apply_BT(g, phi)
+    norms = np.linalg.norm(gvals, axis=1)
+    active = norms > g.weights
+    coef = np.where(active, (norms - g.weights) / (lam * np.where(active, norms, 1.0)), 0.0)
+    return coef[:, None] * gvals
+
+
+def edge_major_gradient(g, phi, c, lam):
+    return c - apply_B(g, edge_major_flow(g, phi, lam))
+
+
+def edge_major_dual(g, phi, c, lam):
+    excess = np.linalg.norm(apply_BT(g, phi), axis=1) - g.weights
+    penalty = np.where(excess > 0, excess, 0.0)
+    return float(np.vdot(phi, c) - (penalty @ penalty) / (2.0 * lam))
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def random_problems(seed_base):
+    """Four random connected problems per d in {1, 2, 3, 8} (d = 8 takes
+    the edge-major norm), each ``(g, alpha, beta, lam)`` with ``alpha`` in
+    the range of B, so every pair is feasible."""
+    for d in (1, 2, 3, 8):
+        rng = np.random.default_rng(seed_base + d)
+        for _ in range(4):
+            g = random_connected_graph(rng, n=int(rng.integers(6, 14)), d=d, extra_edges=6)
+            alpha = apply_B(g, rng.standard_normal((g.m, d)))
+            yield g, alpha, np.zeros((g.n, d)), float(rng.uniform(0.2, 2.0))
+
+
 def assert_same_iterates(g, alpha, beta, opts):
     flow, phi, report = solve_regularized(g, alpha, beta, opts)
     ref_flow, ref_phi, ref_epochs, status = edge_major_ascent(g, alpha, beta, opts)
@@ -420,6 +457,41 @@ def test_solve_diverges_at_edge_major_loop_epoch(diamond_problem):
     assert status == "diverged"
     with pytest.raises(NonConvergenceError, match=f"diverged at epoch {epochs}:"):
         solve_regularized(g, alpha, beta, opts)
+
+
+def test_public_dual_helpers_equal_edge_major_formulas():
+    checked = active = 0
+    for g, alpha, beta, lam in random_problems(200):
+        c = alpha - beta
+        rng = np.random.default_rng(g.m)
+        # phi = 0 gives every edge a zero norm; the scales mix active and
+        # inactive edges
+        for scale in (0.0, 0.3, 1.0, 3.0):
+            phi = scale * rng.standard_normal((g.n, g.d))
+            flow = recover_primal(g, phi, lam)
+            assert flow.flags.c_contiguous
+            assert_same_bits(flow, edge_major_flow(g, phi, lam))
+            assert_same_bits(dual_gradient(g, phi, c, lam), edge_major_gradient(g, phi, c, lam))
+            assert dual_objective(g, phi, c, lam) == edge_major_dual(g, phi, c, lam)
+            checked += 1
+            active += bool(np.any(flow))
+    assert checked == 64 and 0 < active < checked
+
+
+def test_solve_report_equals_public_helpers_at_its_point():
+    converged = 0
+    for g, alpha, beta, lam in random_problems(100):
+        c = alpha - beta
+        for epochs in (0, 3, 4000):
+            opts = SolveOptions(lam=lam, learning_rate=stable_learning_rate(g, lam), max_epochs=epochs)
+            flow, phi, report = solve_regularized(g, alpha, beta, opts)
+            assert_same_bits(flow, recover_primal(g, phi, lam))
+            assert report.dual_value == dual_objective(g, phi, c, lam)
+            assert report.residual == float(np.linalg.norm(dual_gradient(g, phi, c, lam)))
+            assert report.primal_cost == primal_cost(g, flow, lam)
+            assert report.gap == report.primal_cost - report.dual_value
+            converged += report.converged
+    assert converged == 16  # every 4 000-epoch solve stops on the tolerance
 
 
 # ------------------------------------------------- unregularized dual checks
