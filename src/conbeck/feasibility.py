@@ -71,7 +71,9 @@ def kernel_numeric(g: ConnectionGraph):
     kernel vector lies along eigenvectors of nonzero eigenvalue, where
     B^T does not amplify it.  Costs O((n d)^3) time and O((n d)^2) memory,
     independent of the edge count.  No command calls it: it is the dense
-    reference that tests hold :func:`kernel_structured` against.
+    reference that tests hold :func:`kernel_structured` against.  It stays
+    in the package because the benchmark in ``perfbench/`` imports it, for
+    its self-test and its kernel timing.
     """
     import scipy.linalg  # only this reference needs it; keeps CLI start-up light
 

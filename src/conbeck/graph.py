@@ -27,10 +27,8 @@ __all__ = [
     "validate_graph",
     "incidence",
     "connection_laplacian",
-    "combinatorial_laplacian",
     "apply_B",
     "apply_BT",
-    "path_product",
     "fundamental_cycles",
     "is_consistent",
     "switch",
@@ -443,18 +441,6 @@ def connection_laplacian(g: ConnectionGraph):
     return g.laplacian_matrix
 
 
-def combinatorial_laplacian(g: ConnectionGraph):
-    """Ordinary weighted graph Laplacian of the skeleton, dense (n, n)."""
-    g.require_valid()
-    i, j = g.edge_index.T
-    lap = np.zeros((g.n, g.n))
-    np.add.at(lap, (i, j), -g.weights)
-    np.add.at(lap, (j, i), -g.weights)
-    ends = g.edge_index.reshape(-1)  # i0, j0, i1, j1, ...: degrees sum in edge order
-    np.add.at(lap, (ends, ends), np.repeat(g.weights, 2))
-    return lap
-
-
 def apply_BT(g: ConnectionGraph, phi):
     """Apply ``B^T`` to a vertex field: ``(B^T phi)(e) = phi(i) - sigma_e phi(j)``.
 
@@ -515,22 +501,6 @@ def tree_products(g: ConnectionGraph, root=0):
     as ``f(i) = t[i] @ x``.
     """
     return _spanning_tree(g, root)[4]
-
-
-def path_product(g: ConnectionGraph, path):
-    """Product of connection matrices along a vertex path.
-
-    The factors multiply on the right in traversal order:
-    ``sigma_P = sigma_{v0 v1} @ sigma_{v1 v2} @ ...``.  A single-vertex
-    path yields the identity.
-    """
-    g.require_valid()
-    if len(path) == 0:
-        raise InvalidGraphError("empty path")
-    out = np.eye(g.d)
-    for u, v in zip(path[:-1], path[1:]):
-        out = out @ g.sigma_between(u, v)
-    return out
 
 
 def fundamental_cycles(g: ConnectionGraph):

@@ -25,23 +25,18 @@ __all__ = [
     "load_graph",
     "save_graph",
     "field_from_dict",
-    "field_to_dict",
     "load_field",
     "save_field",
     "flow_from_dict",
-    "flow_to_dict",
     "load_flow",
     "save_flow",
     "frames_from_dict",
-    "frames_to_dict",
     "load_frames",
     "save_frames",
     "tau_from_dict",
-    "tau_to_dict",
     "load_tau",
     "save_tau",
     "trajectory_from_dict",
-    "trajectory_to_dict",
     "load_trajectory",
     "save_trajectory",
     "save_report",
@@ -312,12 +307,6 @@ def save_graph(path, g):
 # ---------------------------------------------------------------------------
 
 
-def field_to_dict(field):
-    field = np.asarray(field, dtype=float)
-    n, d = field.shape
-    return {"n": n, "d": d, "values": field.tolist()}
-
-
 def field_from_dict(obj):
     where = "field"
     n = _get_int(obj, "n", where, minimum=1)
@@ -333,12 +322,6 @@ def save_field(path, field):
     field = np.asarray(field, dtype=float)
     n, d = field.shape
     _dump_table(path, {"n": n, "d": d}, [("values", (d,), [field])])
-
-
-def flow_to_dict(flow):
-    flow = np.asarray(flow, dtype=float)
-    m, d = flow.shape
-    return {"m": m, "d": d, "values": flow.tolist()}
 
 
 def flow_from_dict(obj):
@@ -363,12 +346,6 @@ def save_flow(path, flow):
 # ---------------------------------------------------------------------------
 
 
-def frames_to_dict(frames):
-    frames = np.asarray(frames, dtype=float)
-    n, p, d = frames.shape
-    return {"n": n, "p": p, "d": d, "frames": frames.tolist()}
-
-
 def frames_from_dict(obj):
     where = "frames"
     n = _get_int(obj, "n", where, minimum=1)
@@ -389,12 +366,6 @@ def save_frames(path, frames):
     n, p, d = frames.shape
     table = ("frames", (p, d), [frames.reshape(n, p * d)])
     _dump_table(path, {"n": n, "p": p, "d": d}, [table])
-
-
-def tau_to_dict(tau):
-    tau = np.asarray(tau, dtype=float)
-    n, d, _ = tau.shape
-    return {"n": n, "d": d, "tau": tau.tolist()}
 
 
 def tau_from_dict(obj):
@@ -419,20 +390,6 @@ def save_tau(path, tau):
 # ---------------------------------------------------------------------------
 # trajectories and reports
 # ---------------------------------------------------------------------------
-
-
-def trajectory_to_dict(states, ambient=None):
-    states = [np.asarray(s, dtype=float) for s in states]
-    n, d = states[0].shape
-    obj = {
-        "n": n,
-        "d": d,
-        "steps": len(states) - 1,
-        "states": [s.tolist() for s in states],
-    }
-    if ambient is not None:
-        obj["ambient"] = [np.asarray(a, dtype=float).tolist() for a in ambient]
-    return obj
 
 
 def trajectory_from_dict(obj):

@@ -201,15 +201,14 @@ def _nearest(points, cloud):
 FRAME_BATCH_OFFSETS = 1 << 14
 
 
-def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
+def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps):
     """Kernel-weighted local PCA frames, shape (n, p, d).
 
     At each point the neighbor offsets are column-weighted by the
     Epanechnikov kernel ``K(u) = 1 - u^2`` on [0, 1] evaluated at
-    ``distance / kernel_scale`` and the top-``d`` left singular vectors
-    form the frame.  ``kernel_scale`` defaults to ``sqrt(eps)``, reading
-    the bandwidth formula with ``eps`` as the graph radius; pass ``eps``
-    itself for the squared-radius reading.  Vertices of equal degree are
+    ``distance / sqrt(eps)`` and the top-``d`` left singular vectors form
+    the frame: the bandwidth of Singer & Wu's local PCA, with ``eps`` read
+    as the graph radius.  Vertices of equal degree are
     solved as one stack of SVDs, in batches of at most
     ``FRAME_BATCH_OFFSETS`` offsets.
     """
@@ -217,8 +216,7 @@ def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
     n, p = cloud.shape
     if d > p:
         raise InvalidGraphError(f"intrinsic dimension d={d} exceeds ambient p={p}")
-    if kernel_scale is None:
-        kernel_scale = float(np.sqrt(eps))
+    kernel_scale = float(np.sqrt(eps))
     indptr, nbrs = _neighbours(n, skeleton.edge_index)
     degree = np.diff(indptr)
     frames = np.zeros((n, p, d))
@@ -244,7 +242,7 @@ def tangent_frames(cloud, skeleton: GraphSkeleton, d, eps, kernel_scale=None):
             )
         raise InvalidGraphError(
             f"vertex {i}: all neighbors fall outside the kernel support "
-            f"(scale {kernel_scale:.3g}); increase kernel_scale"
+            f"(scale sqrt(eps) = {kernel_scale:.3g})"
         )
     return frames
 
@@ -287,13 +285,18 @@ def procrustes_connection(frames, skeleton: GraphSkeleton):
     return ConnectionGraph(n, d, skeleton.edge_index, skeleton.weights, sigmas)
 
 
-def sample_torus(n_theta, n_psi, major_radius=5.0, minor_radius=1.0):
+#: Major and minor radii ``(R, r)`` of the torus :func:`sample_torus` samples.
+TORUS_RADII = (5.0, 1.0)
+
+
+def sample_torus(n_theta, n_psi):
     """Regular grid on the torus, theta-major ordering, shape (n_theta*n_psi, 3).
 
     Embedding: ``((R + r cos theta) cos psi, (R + r cos theta) sin psi,
-    r sin theta)`` with both angles sampled on [0, 2 pi) excluding the
-    periodic endpoint.
+    r sin theta)`` with ``(R, r) = TORUS_RADII`` and both angles sampled on
+    [0, 2 pi) excluding the periodic endpoint.
     """
+    major_radius, minor_radius = TORUS_RADII
     theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     psi = np.linspace(0.0, 2 * np.pi, n_psi, endpoint=False)
     tt, pp = np.meshgrid(theta, psi, indexing="ij")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .graph import ConnectionGraph, _bfs, apply_B
-from .solver import SolveOptions, solve_regularized
+from .solver import SolveOptions, _resolve_lam, solve_regularized
 
 __all__ = [
     "pseudo_dirac",
@@ -46,11 +46,15 @@ def pseudo_dirac(n, d, node, channel):
     return field
 
 
-def nodal_support(field, threshold=1e-9):
-    """Vertices where the field's per-vertex norm exceeds ``threshold``."""
+#: :func:`nodal_support` keeps the vertices whose field norm exceeds this.
+SUPPORT_TOL = 1e-9
+
+
+def nodal_support(field):
+    """Vertices where the field's per-vertex norm exceeds ``SUPPORT_TOL``."""
     field = np.asarray(field, dtype=float)
     norms = np.linalg.norm(field, axis=1)
-    return np.flatnonzero(norms > threshold)
+    return np.flatnonzero(norms > SUPPORT_TOL)
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,13 @@ def distance_matrix(
     exhausts the epoch budget raises :class:`NonConvergenceError` unless
     ``require_convergence=False``.  With ``return_converged=True`` a boolean
     matrix of per-pair convergence flags is returned alongside (infeasible
-    pairs and the diagonal count as converged).
+    pairs and the diagonal count as converged).  An ``opts.lam`` that is
+    not positive and finite raises :class:`InvalidGraphError` before any
+    solve, even when there is no pair.
     """
     if opts is None:
         opts = SolveOptions()
+    _resolve_lam(g, opts.lam)
     fields = [np.asarray(f, dtype=float).reshape(g.n, g.d) for f in fields]
     k = len(fields)
     dist = np.zeros((k, k))

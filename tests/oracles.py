@@ -1,7 +1,10 @@
 """Test oracles: a random orthogonal matrix, the tree products as a
-vertex-by-vertex chain, tangent frames one vertex at a time, epsilon pairs
-and nearest nodes by brute force, and an independent dense primal-route
-solve of the regularized problem.
+vertex-by-vertex chain, the dense ordinary Laplacian of the skeleton, path
+products as a loop over :meth:`sigma_between`, tangent frames one vertex at
+a time, epsilon pairs and nearest nodes by brute force, the document dicts
+whose ``json.dump(..., indent=2)`` text the :mod:`conbeck.io` table writers
+must reproduce, and an independent dense primal-route solve of the
+regularized problem.
 
 :func:`oracle_solve` takes a full dense SVD of B, O((m d)^2) memory, so it
 serves only as a cross-check of :func:`conbeck.solver.solve_regularized`
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conbeck.errors import FeasibilityError
+from conbeck.errors import FeasibilityError, InvalidGraphError
 from conbeck.graph import ConnectionGraph, bfs_tree
 from conbeck.solver import _difference, _resolve_lam
 
@@ -32,6 +35,34 @@ def sequential_tree_products(g: ConnectionGraph, root):
     for u in order[1:]:
         t[u] = g.sigma_between(u, parent[u]) @ t[parent[u]]
     return t
+
+
+def combinatorial_laplacian(g: ConnectionGraph):
+    """Ordinary weighted graph Laplacian of the skeleton, dense (n, n)."""
+    g.require_valid()
+    i, j = g.edge_index.T
+    lap = np.zeros((g.n, g.n))
+    np.add.at(lap, (i, j), -g.weights)
+    np.add.at(lap, (j, i), -g.weights)
+    ends = g.edge_index.reshape(-1)  # i0, j0, i1, j1, ...: degrees sum in edge order
+    np.add.at(lap, (ends, ends), np.repeat(g.weights, 2))
+    return lap
+
+
+def path_product(g: ConnectionGraph, path):
+    """Product of connection matrices along a vertex path.
+
+    The factors multiply on the right in traversal order:
+    ``sigma_P = sigma_{v0 v1} @ sigma_{v1 v2} @ ...``.  A single-vertex
+    path yields the identity.
+    """
+    g.require_valid()
+    if len(path) == 0:
+        raise InvalidGraphError("empty path")
+    out = np.eye(g.d)
+    for u, v in zip(path[:-1], path[1:]):
+        out = out @ g.sigma_between(u, v)
+    return out
 
 
 def per_vertex_tangent_frames(cloud, skeleton, d, eps):
@@ -73,6 +104,44 @@ def brute_force_nearest(points, cloud):
         [np.argmin(np.linalg.norm(cloud - b, axis=1)) for b in np.asarray(points, dtype=float)],
         dtype=int,
     )
+
+
+def field_to_dict(field):
+    field = np.asarray(field, dtype=float)
+    n, d = field.shape
+    return {"n": n, "d": d, "values": field.tolist()}
+
+
+def flow_to_dict(flow):
+    flow = np.asarray(flow, dtype=float)
+    m, d = flow.shape
+    return {"m": m, "d": d, "values": flow.tolist()}
+
+
+def frames_to_dict(frames):
+    frames = np.asarray(frames, dtype=float)
+    n, p, d = frames.shape
+    return {"n": n, "p": p, "d": d, "frames": frames.tolist()}
+
+
+def tau_to_dict(tau):
+    tau = np.asarray(tau, dtype=float)
+    n, d, _ = tau.shape
+    return {"n": n, "d": d, "tau": tau.tolist()}
+
+
+def trajectory_to_dict(states, ambient=None):
+    states = [np.asarray(s, dtype=float) for s in states]
+    n, d = states[0].shape
+    obj = {
+        "n": n,
+        "d": d,
+        "steps": len(states) - 1,
+        "states": [s.tolist() for s in states],
+    }
+    if ambient is not None:
+        obj["ambient"] = [np.asarray(a, dtype=float).tolist() for a in ambient]
+    return obj
 
 
 def oracle_solve(g: ConnectionGraph, alpha, beta, lam=None, eps=1e-9, max_iter=200):

@@ -25,7 +25,6 @@ from conbeck.graph import (
     ConnectionGraph,
     apply_B,
     apply_BT,
-    combinatorial_laplacian,
     connection_laplacian,
     is_consistent,
     switch,
@@ -63,7 +62,7 @@ from conftest import (
     random_connected_graph,
     random_density,
 )
-from oracles import oracle_solve, random_orthogonal
+from oracles import combinatorial_laplacian, oracle_solve, random_orthogonal
 
 
 def _passed(num, text):

@@ -240,6 +240,10 @@ def test_switch_writes_graph_and_tau(sign_path_files, capsys):
         (["solve", "{graph}", "{alpha}", "{beta}", "--lambda=-1", "-o", "{out}"], 2),
         (["distmat", "{graph}", "{fields}", "--lambda", "0", "-o", "{out}"], 2),
         (["distmat", "{graph}", "{fields}", "--lambda=-1", "-o", "{out}"], 2),
+        (["distmat", "{graph}", "{one}", "--lambda", "0", "-o", "{out}"], 2),
+        (["distmat", "{graph}", "{one}", "--lambda=-1", "-o", "{out}"], 2),
+        (["distmat", "{graph}", "{one}", "--lambda", "inf", "-o", "{out}"], 2),
+        (["distmat", "{graph}", "{one}", "--lambda", "nan", "-o", "{out}"], 2),
         (["switch", "{graph}", "--root", "99", "-o", "{out}"], 2),
         (["switch", "{graph}", "--root", "-1", "-o", "{out}"], 2),
         (["cluster", "{points}", "--k", "0", "-o", "{out}"], 1),
@@ -255,7 +259,9 @@ def test_switch_writes_graph_and_tau(sign_path_files, capsys):
     ids=["check-tol-nan", "feasible-tol-nan", "feasible-tol-negative", "buildgraph-dim-0",
          "buildgraph-eps-negative", "buildgraph-eps-nan", "buildgraph-eps-inf", "buildgraph-eps-0",
          "interp-steps-negative", "solve-lambda-inf", "solve-lambda-0", "solve-lambda-negative",
-         "distmat-lambda-0", "distmat-lambda-negative", "switch-root-99", "switch-root-negative",
+         "distmat-lambda-0", "distmat-lambda-negative", "distmat-one-field-lambda-0",
+         "distmat-one-field-lambda-negative", "distmat-one-field-lambda-inf",
+         "distmat-one-field-lambda-nan", "switch-root-99", "switch-root-negative",
          "cluster-k-0", "cluster-k-negative", "cluster-k-above-size", "solve-active-edges-nan",
          "solve-active-edges-negative", "solve-active-edges-inf"],
 )
@@ -266,9 +272,11 @@ def test_out_of_range_values_exit_with_one_error_line(diamond_files, capsys, arg
     (tmp / "fields").mkdir()
     for name in ("alpha", "beta"):
         shutil.copy(paths[name], tmp / "fields")
+    (tmp / "one").mkdir()  # a single field: no pair to solve
+    shutil.copy(paths["alpha"], tmp / "one")
     names = {k: str(p) for k, p in paths.items()}
     names.update(points=tmp / "points.csv", flow=tmp / "flow.json", out=tmp / "out.json",
-                 fields=tmp / "fields")
+                 fields=tmp / "fields", one=tmp / "one")
     before = sorted(tmp.iterdir())
     assert main([arg.format(**names) for arg in argv]) == code
     err = capsys.readouterr().err

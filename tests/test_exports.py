@@ -56,8 +56,8 @@ def test_every_public_definition_is_exported(name):
 #: Every name the package exported before it re-exported the modules' lists.
 PACKAGE_NAMES = """
     ConbeckError FeasibilityError FormatError InvalidGraphError NonConvergenceError
-    ConnectionGraph apply_B apply_BT combinatorial_laplacian connection_laplacian
-    fundamental_cycles incidence is_consistent path_product switch validate_graph
+    ConnectionGraph apply_B apply_BT connection_laplacian
+    fundamental_cycles incidence is_consistent switch validate_graph
     KernelBasis feasibility_report feasibility_switching is_feasible kernel_numeric
     kernel_structured project_feasible require_feasible
     SolveOptions SolveReport dual_objective recover_primal solve_regularized
@@ -71,5 +71,33 @@ PACKAGE_NAMES = """
 
 
 def test_package_keeps_every_name():
-    assert len(set(PACKAGE_NAMES)) == 55
+    assert len(set(PACKAGE_NAMES)) == 53
     assert set(PACKAGE_NAMES) <= set(conbeck.__all__)
+
+
+#: Test oracles that live in ``tests/oracles.py``, by the module that once
+#: shipped them.
+ORACLES = {
+    "graph": ["combinatorial_laplacian", "path_product"],
+    "io": ["field_to_dict", "flow_to_dict", "frames_to_dict", "tau_to_dict", "trajectory_to_dict"],
+}
+
+#: Parameters that are module constants instead, by function.
+FIXED_PARAMETERS = {
+    ("manifold", "tangent_frames"): ["kernel_scale"],
+    ("manifold", "sample_torus"): ["major_radius", "minor_radius"],
+    ("toolkit", "nodal_support"): ["threshold"],
+}
+
+
+def test_oracles_and_fixed_parameters_are_not_shipped():
+    for name, oracles in ORACLES.items():
+        module = importlib.import_module(f"conbeck.{name}")
+        assert [n for n in oracles if hasattr(module, n)] == []
+    for (name, func), params in FIXED_PARAMETERS.items():
+        signature = inspect.signature(getattr(importlib.import_module(f"conbeck.{name}"), func))
+        assert set(params).isdisjoint(signature.parameters)
+    from conbeck import manifold, toolkit
+
+    assert manifold.TORUS_RADII == (5.0, 1.0)
+    assert toolkit.SUPPORT_TOL == 1e-9

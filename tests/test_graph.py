@@ -23,12 +23,10 @@ from conbeck.graph import (
     apply_B,
     apply_BT,
     bfs_tree,
-    combinatorial_laplacian,
     connection_laplacian,
     fundamental_cycles,
     incidence,
     is_consistent,
-    path_product,
     switch,
     tree_products,
     validate_graph,
@@ -42,7 +40,12 @@ from conftest import (
     queue_bfs,
     random_connected_graph,
 )
-from oracles import random_orthogonal, sequential_tree_products
+from oracles import (
+    combinatorial_laplacian,
+    path_product,
+    random_orthogonal,
+    sequential_tree_products,
+)
 
 
 # ---------------------------------------------------------------- validation

@@ -12,9 +12,6 @@ from conbeck.errors import FormatError, InvalidGraphError
 from conbeck.feasibility import KernelBasis
 from conbeck.graph import ConnectionGraph
 from conbeck.io import (
-    field_to_dict,
-    flow_to_dict,
-    frames_to_dict,
     graph_from_dict,
     graph_to_dict,
     load_field,
@@ -38,13 +35,18 @@ from conbeck.io import (
     save_report,
     save_tau,
     save_trajectory,
-    tau_to_dict,
-    trajectory_to_dict,
 )
 from conbeck.solver import SolveOptions, SolveReport, solve_regularized
 
 from conftest import random_connected_graph
-from oracles import random_orthogonal
+from oracles import (
+    field_to_dict,
+    flow_to_dict,
+    frames_to_dict,
+    random_orthogonal,
+    tau_to_dict,
+    trajectory_to_dict,
+)
 
 
 # -------------------------------------------------------------------- graphs

@@ -278,12 +278,13 @@ def test_tangent_frames_report_the_lowest_failing_vertex():
 
 
 def test_tangent_frames_kernel_scale_knob():
-    # all neighbors outside the default support: the knob rescues it
-    cloud = np.array([[0.0], [1.0], [2.0], [3.0]]) * 0.9
-    sk = epsilon_graph(cloud, eps=1.0)
-    with pytest.raises(InvalidGraphError):
-        tangent_frames(cloud, sk, d=1, eps=0.8999, kernel_scale=0.8)
-    frames = tangent_frames(cloud, sk, d=1, eps=1.0)
+    # the kernel scale is sqrt(eps): neighbors 1.5 apart fall outside it at
+    # eps = 2 (sqrt 2 < 1.5) and inside it at eps = 2.5
+    cloud = np.array([[0.0], [1.5], [3.0], [4.5]])
+    with pytest.raises(InvalidGraphError, match=r"vertex 0: all neighbors fall outside the "
+                       r"kernel support \(scale sqrt\(eps\) = 1\.41\)$"):
+        tangent_frames(cloud, epsilon_graph(cloud, eps=2.0), d=1, eps=2.0)
+    frames = tangent_frames(cloud, epsilon_graph(cloud, eps=2.5), d=1, eps=2.5)
     assert frames.shape == (4, 1, 1)
 
 
@@ -440,7 +441,7 @@ def test_procrustes_torus_output_valid_and_inconsistent():
 
 
 def test_sample_torus_implicit_equation():
-    pts = sample_torus(8, 12, major_radius=5.0, minor_radius=1.0)
+    pts = sample_torus(8, 12)
     assert pts.shape == (96, 3)
     assert np.abs(pts[0] - [6.0, 0.0, 0.0]).max() <= 1e-12  # theta = psi = 0
     rho = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)

@@ -54,7 +54,8 @@ def test_pseudo_dirac_bounds_checked():
 def test_nodal_support_threshold():
     field = np.array([[1.0, 0.0], [1e-12, 0.0], [0.0, -0.5], [0.0, 0.0]])
     assert nodal_support(field).tolist() == [0, 2]
-    assert nodal_support(field, threshold=0.6).tolist() == [0]
+    tol = toolkit.SUPPORT_TOL  # kept only when strictly exceeded
+    assert nodal_support([[tol, 0.0], [2 * tol, 0.0]]).tolist() == [1]
 
 
 # ---------------------------------------------------------------------- rings
@@ -283,6 +284,14 @@ def test_distance_matrix_nonconvergence_raises(diamond_problem):
         distance_matrix(g, [alpha, beta], opts)
     dist = distance_matrix(g, [alpha, beta], opts, require_convergence=False)
     assert np.isfinite(dist[0, 1])
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("k", [0, 1])
+def test_distance_matrix_refuses_lambda_without_a_pair(sign_path, lam, k):
+    fields = [pseudo_dirac(3, 1, node, 0) for node in range(k)]
+    with pytest.raises(InvalidGraphError, match="must be positive and finite"):
+        distance_matrix(sign_path, fields, SolveOptions(lam=lam))
 
 
 # ----------------------------------------------------------------- clustering
