@@ -33,6 +33,27 @@ allocated before the first evaluation.  Every sum keeps its terms and
 their order, so the results are those of the edge-major formulas bit for
 bit.
 
+The flow is sparse: an edge with ``|g_e| <= w(e)`` carries none.  So the
+ascent keeps a working set.  At a full evaluation, taken at an anchor
+``phi0``, it keeps the edges whose excess is at least ``-0.4 w(e)`` and
+takes their rows of ``B^T`` and columns of ``B`` once; later epochs run the
+same evaluation on those and form the residual over every vertex.  Since
+``(B^T phi)_e = phi_i - sigma_e phi_j``, an edge's norm moves by at most
+``L D``, with ``L = 1 + max_e |sigma_e|_2`` (bounded through the
+orthogonality tolerance of a valid graph) and ``D = sum sqrt(d) |step|_inf``
+a bound on how far any vertex of ``phi`` has moved since the anchor.  While
+``L D`` stays below the smallest slack ``w(e) - |g_e|`` of the edges left
+out, less a round-off allowance, those edges are still inactive: their flow
+is ``+-0``, and a term ``B_ij (+-0)`` leaves a sparse row sum, which starts
+at ``+0.0``, unchanged.  Once the bound fails, or ``D`` is not finite, the
+epoch evaluates every edge and takes a new working set.  A working set is
+used only when it leaves out at least half the edges and at least 1 024
+rows of ``B^T``; smaller graphs evaluate every edge in every epoch.  One
+last full evaluation at the returned ``phi`` gives the flow, with its
+signed zeros, and the dual value.  No output bit changes: ``phi``, the
+epoch count, the divergence epoch, the residual, the flow and the report
+are those of the full evaluation in every epoch.
+
 :func:`wasserstein_lp` gives the exact linear-programming value for d = 1.
 """
 
@@ -45,7 +66,7 @@ import numpy as np
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .feasibility import require_feasible
-from .graph import ConnectionGraph, apply_BT
+from .graph import ORTHOGONALITY_TOL, ConnectionGraph, apply_BT
 
 __all__ = [
     "SolveOptions",
@@ -114,6 +135,34 @@ def _edge_norms(flow):
     return np.linalg.norm(flow, axis=1)
 
 
+#: The working set taken at an anchor keeps the edges whose excess there
+#: is at least ``-_KEEP * w_e``; every edge it leaves out has a slack
+#: ``w_e - |g_e|`` above ``_KEEP * w_e``.
+_KEEP = 0.4
+
+#: A working set is used only when it leaves out at least half the edges
+#: and at least this many rows of ``B^T``; below that, slicing the
+#: operators and keeping the bound cost more than the smaller products save.
+_MIN_LEFT_OUT_ROWS = 1024
+
+#: Round-off allowance of the bound, per epoch and per term, relative to
+#: the scale of ``w`` and ``phi``: about 10^4 units in the last place, far
+#: more than the rounding of the norms at the anchor and at ``phi``, and of
+#: each step added to ``phi``, can move an edge's computed excess.
+_ROUNDOFF = 1e-12
+
+
+class _Edges:
+    """Component-major rows of ``B^T`` and columns of ``B`` for a set of
+    edges, with their weights and the evaluation buffers sized for them."""
+
+    def __init__(self, bmat_t, bmat, w, d):
+        self.bmat_t, self.bmat, self.w = bmat_t, bmat, w
+        self.excess = np.empty(len(w))
+        self.coef = np.empty(len(w))
+        self.flow = np.empty((d, len(w)))
+
+
 class _Dual:
     """The smooth dual of one ``(g, c, lam)``, evaluated component-major.
 
@@ -122,6 +171,11 @@ class _Dual:
     ``flow`` (that flow, (d, m)) and ``grad`` (the residual ``c - B J``,
     which is the dual gradient); :meth:`value` reads the dual value off
     the last evaluation.
+
+    The ascent evaluates through :meth:`evaluate_near` instead, which runs
+    the same body on a working set of edges while a Lipschitz bound shows
+    that every edge left out is still inactive; :meth:`moved` records each
+    step of ``phi`` for that bound.
     """
 
     def __init__(self, g, c, lam):
@@ -131,19 +185,27 @@ class _Dual:
         # the rows of B^T and the columns of B keeps each row's entries in
         # storage order, so every product sums the same terms in the same order
         order = (np.arange(m) * d + np.arange(d)[:, None]).ravel()
-        self.bmat_t = g.incidence_matrix_T[order]
-        self.bmat = g.incidence_matrix[:, order]
-        self.w, self.c, self.lam = g.weights, c.reshape(-1), lam
-        self.excess = np.empty(m)
-        self.coef = np.empty(m)
-        self.flow = np.empty((d, m))
+        self.edges = _Edges(
+            g.incidence_matrix_T[order], g.incidence_matrix[:, order], g.weights, d
+        )
+        self.excess, self.flow = self.edges.excess, self.edges.flow
+        self.c, self.lam = c.reshape(-1), lam
         self.grad = np.empty(g.n * d)
+        # no working set of a graph this small leaves out enough rows
+        self.screens = m * d >= _MIN_LEFT_OUT_ROWS
+        self.working = None
+        self.restricted = False
+        # (B^T phi)_e = phi_i - sigma_e phi_j moves by at most lip times the
+        # largest move of a vertex: a valid graph's |sigma^T sigma - I|_max
+        # is at most ORTHOGONALITY_TOL, so |sigma|_2^2 <= 1 + d ORTHOGONALITY_TOL
+        self.lip = 1.0 + math.sqrt(1.0 + d * ORTHOGONALITY_TOL)
+        self.root_d = math.sqrt(d)
+        self.w_max = g.w_max
 
-    def evaluate(self, phi):
-        """Evaluate at the flat ``phi``.  A zero norm divides by zero to
-        ``-inf``, which the clip at zero removes; callers silence that warning."""
-        gvals = (self.bmat_t @ phi).reshape(self.flow.shape)
-        norms, coef = self.excess, self.coef
+    def _evaluate(self, edges, phi):
+        """The evaluation body, on ``edges``; ``grad`` covers every vertex."""
+        gvals = (edges.bmat_t @ phi).reshape(edges.flow.shape)
+        norms, coef = edges.excess, edges.coef
         # the squares are summed left to right, the order NumPy's pairwise
         # sum takes for fewer than eight terms, so the norms equal those of
         # np.linalg.norm on the edge-major array bit for bit
@@ -156,14 +218,73 @@ class _Dual:
             np.sqrt(norms, out=norms)
         # coef = (|g_e| - w_e) / (lam |g_e|) on active edges, exactly 0 elsewhere
         np.multiply(norms, self.lam, out=coef)
-        norms -= self.w
+        norms -= edges.w
         np.divide(norms, coef, out=coef)
         np.maximum(coef, 0.0, out=coef)
-        np.multiply(gvals, coef, out=self.flow)
-        np.subtract(self.c, self.bmat @ self.flow.reshape(-1), out=self.grad)
+        np.multiply(gvals, coef, out=edges.flow)
+        np.subtract(self.c, edges.bmat @ edges.flow.reshape(-1), out=self.grad)
+
+    def evaluate(self, phi):
+        """Evaluate at the flat ``phi`` on every edge.  A zero norm divides
+        by zero to ``-inf``, which the clip at zero removes; callers silence
+        that warning."""
+        self._evaluate(self.edges, phi)
+
+    def evaluate_near(self, phi):
+        """Evaluate at ``phi`` as :meth:`evaluate` does, with the same bits
+        in ``grad``; ``excess`` and ``flow`` are left as they were when
+        ``restricted`` is set.
+
+        ``D`` bounds ``max_i |phi_i - phi0_i|`` since the anchor ``phi0``,
+        so no edge's ``|g_e|`` has moved by more than ``lip D``.  While that
+        stays below the smallest slack of the edges left out at the anchor,
+        less the round-off allowance, each of them is still inactive: its
+        flow is ``+-0``, and each of its terms ``B_ij (+-0)`` adds nothing to
+        a row sum of ``B J`` that starts at ``+0.0``.  So only the working
+        set's rows of ``B^T`` and columns of ``B`` are multiplied.
+        Otherwise, or when ``D`` is not finite, every edge is evaluated and
+        ``phi`` becomes the anchor of a new working set.
+        """
+        self.restricted = (
+            self.working is not None
+            and self.lip * self.moved_by + self.allowance * self.since < self.slack
+        )
+        if self.restricted:
+            self._evaluate(self.working, phi)
+        else:
+            self.evaluate(phi)
+            self._anchor(phi)
+
+    def _anchor(self, phi):
+        """Take the working set at ``phi``, just evaluated on every edge."""
+        self.working = None
+        excess, w, (d, m) = self.excess, self.edges.w, self.flow.shape
+        left = excess < -_KEEP * w
+        count = int(np.count_nonzero(left))
+        if 2 * count < m or count * d < _MIN_LEFT_OUT_ROWS:
+            return
+        kept = np.flatnonzero(~left)
+        rows = (kept + m * np.arange(d)[:, None]).ravel()
+        self.working = _Edges(self.edges.bmat_t[rows], self.edges.bmat[:, rows], w[kept], d)
+        # while the bound holds, |phi| stays below |phi0| + D and lip D below
+        # the slack, itself below w_max; the norms at the anchor and at phi
+        # each round off by a few (d + 2)^2 units in the last place of that scale
+        phi_max = float(np.abs(phi).max(initial=0.0))
+        scale = self.w_max * (1 + self.root_d) + self.lip * self.root_d * phi_max
+        self.allowance = _ROUNDOFF * scale
+        self.slack = -float(excess[left].max()) - self.allowance * (d + 2) ** 2
+        self.moved_by, self.since = 0.0, 0
+
+    def moved(self, step):
+        """Record one step added to ``phi``: ``D`` grows by
+        ``sqrt(d) |step|_inf``, which bounds the step of every vertex.  A
+        step with a NaN makes ``D`` NaN, which fails the bound."""
+        if self.working is not None:
+            self.moved_by += self.root_d * max(float(step.max()), -float(step.min()))
+            self.since += 1
 
     def value(self, phi):
-        """Dual value at ``phi``, the point of the last evaluation."""
+        """Dual value at ``phi``, the point of the last evaluation on every edge."""
         penalty = np.where(self.excess > 0, self.excess, 0.0)
         return float(np.vdot(phi, self.c) - (penalty @ penalty) / (2.0 * self.lam))
 
@@ -246,6 +367,10 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
         grad_tol = 1e-8 * (1.0 + float(np.linalg.norm(c_vec)))
 
     dual = _Dual(g, c, lam)
+    # a graph too small for a working set evaluates every edge in every
+    # epoch, with no bookkeeping for the bound
+    screens = dual.screens
+    evaluate = dual.evaluate_near if screens else dual.evaluate
     lr = float(opts.learning_rate)
     phi = np.zeros(g.n * g.d)
     step = np.empty_like(phi)
@@ -257,7 +382,7 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
     # the evaluation divides by the zero norms of edges it then clips to zero
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            dual.evaluate(phi)
+            evaluate(phi)
             grad_norm = float(np.linalg.norm(dual.grad))
             if not math.isfinite(grad_norm):
                 raise NonConvergenceError(
@@ -271,7 +396,12 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
             if epochs_used >= opts.max_epochs:
                 break
             phi += np.multiply(dual.grad, lr, out=step)
+            if screens:
+                dual.moved(step)
             epochs_used += 1
+        if dual.restricted:
+            # the flow, value and gap read every edge
+            dual.evaluate(phi)
 
     flow = np.ascontiguousarray(dual.flow.T)
     cost = primal_cost(g, flow, lam)

@@ -156,12 +156,13 @@ def distance_matrix(
     exhausts the epoch budget raises :class:`NonConvergenceError` unless
     ``require_convergence=False``.  With ``return_converged=True`` a boolean
     matrix of per-pair convergence flags is returned alongside (infeasible
-    pairs and the diagonal count as converged).  An ``opts.lam`` that is
-    not positive and finite raises :class:`InvalidGraphError` before any
-    solve, even when there is no pair.
+    pairs and the diagonal count as converged).  An invalid graph, or an
+    ``opts.lam`` that is not positive and finite, raises
+    :class:`InvalidGraphError` before any solve, even when there is no pair.
     """
     if opts is None:
         opts = SolveOptions()
+    g.require_valid()
     _resolve_lam(g, opts.lam)
     fields = [np.asarray(f, dtype=float).reshape(g.n, g.d) for f in fields]
     k = len(fields)

@@ -19,9 +19,11 @@ import math
 import numpy as np
 import pytest
 
+from conbeck import solver
 from conbeck.errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from conbeck.feasibility import kernel_numeric
 from conbeck.graph import ConnectionGraph, apply_B, apply_BT, incidence, switch
+from conbeck.manifold import epsilon_graph, sample_sphere_patch
 from conbeck.solver import (
     SolveOptions,
     dual_feasible_unregularized,
@@ -38,6 +40,7 @@ from conbeck.solver import (
 )
 
 from conftest import (
+    curved_sphere_patch,
     make_path_graph,
     random_connected_graph,
     random_density,
@@ -492,6 +495,107 @@ def test_solve_report_equals_public_helpers_at_its_point():
             assert report.gap == report.primal_cost - report.dual_value
             converged += report.converged
     assert converged == 16  # every 4 000-epoch solve stops on the tolerance
+
+
+# ---------------------------------------------------------------- working set
+#
+# On a graph with m d >= 1 024 the ascent evaluates most epochs on a working
+# set of edges; these pin that its iterates, flow and divergence epoch are
+# still those of the edge-major loop, bit for bit.
+
+
+def localized_pair(cloud, d, rng):
+    """Two Gaussian bumps (width 0.05) around vertices 40 and 250 of the
+    cloud, each carrying one random d-vector; the flow between them leaves
+    most edges of the patch inactive."""
+
+    def bump(center):
+        weight = np.exp(-((cloud - cloud[center]) ** 2).sum(axis=1) / (2 * 0.05**2))
+        return weight[:, None] * rng.standard_normal(d)[None]
+
+    return bump(40), bump(250)
+
+
+def patch_problem(d):
+    """``sample_sphere_patch(12, 24)`` at eps 0.3 (n = 288, m = 4 260): the
+    Procrustes connection for d = 2, random orthogonal sigmas otherwise
+    (curved, so every pair is feasible); two localized fields, the stable
+    step and a tolerance of 0.12 |c|."""
+    rng = np.random.default_rng(300 + d)
+    cloud, _, _ = sample_sphere_patch(12, 24)
+    if d == 2:
+        g = curved_sphere_patch(12, 24, 0.3)
+    else:
+        skeleton = epsilon_graph(cloud, 0.3)
+        sigmas = np.array([random_orthogonal(d, rng) for _ in range(skeleton.m)])
+        g = ConnectionGraph(cloud.shape[0], d, skeleton.edge_index, skeleton.weights, sigmas)
+    alpha, beta = localized_pair(cloud, d, rng)
+    opts = SolveOptions(
+        learning_rate=stable_learning_rate(g),
+        grad_tol=0.12 * float(np.linalg.norm(alpha - beta)),
+        max_epochs=20000,
+    )
+    return g, alpha, beta, opts
+
+
+@pytest.fixture(scope="module")
+def sphere_patch_problem():
+    return patch_problem(2)
+
+
+def count_full_evaluations(monkeypatch):
+    """Count the calls of ``_Dual.evaluate``, the evaluation on every edge."""
+    calls = []
+    evaluate = solver._Dual.evaluate
+
+    def counted(self, phi):
+        calls.append(1)
+        return evaluate(self, phi)
+
+    monkeypatch.setattr(solver._Dual, "evaluate", counted)
+    return calls
+
+
+def test_solve_on_a_working_set_equals_edge_major_loop(sphere_patch_problem):
+    g, alpha, beta, opts = sphere_patch_problem
+    assert g.m * g.d >= 2 * solver._MIN_LEFT_OUT_ROWS
+    assert assert_same_iterates(g, alpha, beta, opts).converged
+    for epochs in (0, 1, 7):
+        cut = SolveOptions(
+            learning_rate=opts.learning_rate, grad_tol=opts.grad_tol, max_epochs=epochs
+        )
+        report = assert_same_iterates(g, alpha, beta, cut)
+        assert not report.converged and report.epochs_used == epochs
+
+
+def test_solve_evaluates_every_edge_in_under_a_tenth_of_the_epochs(
+    sphere_patch_problem, monkeypatch
+):
+    g, alpha, beta, opts = sphere_patch_problem
+    calls = count_full_evaluations(monkeypatch)
+    _, _, report = solve_regularized(g, alpha, beta, opts)
+    assert report.converged and report.epochs_used > 1000
+    assert 0 < len(calls) < report.epochs_used / 10
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_solve_on_a_working_set_with_random_sigmas_equals_edge_major_loop(d, monkeypatch):
+    # d = 8 takes the np.linalg.norm branch on the working set too
+    g, alpha, beta, opts = patch_problem(d)
+    calls = count_full_evaluations(monkeypatch)
+    report = assert_same_iterates(g, alpha, beta, opts)
+    assert report.converged
+    assert len(calls) < report.epochs_used / 2  # the working set ran
+
+
+@pytest.mark.parametrize("scale", [50.0, math.nan])
+def test_solve_on_a_working_set_diverges_at_edge_major_loop_epoch(sphere_patch_problem, scale):
+    g, alpha, beta, opts = sphere_patch_problem
+    opts = SolveOptions(learning_rate=scale * opts.learning_rate, max_epochs=20000)
+    _, _, epochs, status = edge_major_ascent(g, alpha, beta, opts)
+    assert status == "diverged"
+    with pytest.raises(NonConvergenceError, match=f"diverged at epoch {epochs}:"):
+        solve_regularized(g, alpha, beta, opts)
 
 
 # ------------------------------------------------- unregularized dual checks

@@ -294,6 +294,15 @@ def test_distance_matrix_refuses_lambda_without_a_pair(sign_path, lam, k):
         distance_matrix(sign_path, fields, SolveOptions(lam=lam))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_distance_matrix_refuses_an_invalid_graph_without_a_pair(k):
+    # vertices 2 and 3 touch no edge; with fewer than two fields no pair is solved
+    g = ConnectionGraph.trivial(4, 1, [(0, 1, 1.0)])
+    fields = [pseudo_dirac(4, 1, node, 0) for node in range(k)]
+    with pytest.raises(InvalidGraphError, match="graph is disconnected"):
+        distance_matrix(g, fields)
+
+
 # ----------------------------------------------------------------- clustering
 
 
