@@ -33,26 +33,14 @@ allocated before the first evaluation.  Every sum keeps its terms and
 their order, so the results are those of the edge-major formulas bit for
 bit.
 
-The flow is sparse: an edge with ``|g_e| <= w(e)`` carries none.  So the
-ascent keeps a working set.  At a full evaluation, taken at an anchor
-``phi0``, it keeps the edges whose excess is at least ``-0.4 w(e)`` and
-takes their rows of ``B^T`` and columns of ``B`` once; later epochs run the
-same evaluation on those and form the residual over every vertex.  Since
-``(B^T phi)_e = phi_i - sigma_e phi_j``, an edge's norm moves by at most
-``L D``, with ``L = 1 + max_e |sigma_e|_2`` (bounded through the
-orthogonality tolerance of a valid graph) and ``D = sum sqrt(d) |step|_inf``
-a bound on how far any vertex of ``phi`` has moved since the anchor.  While
+The ascent evaluates most epochs on a working set: the edges whose excess
+was at least ``-0.4 w(e)`` at the last evaluation of every edge.  While
 ``L D`` stays below the smallest slack ``w(e) - |g_e|`` of the edges left
-out, less a round-off allowance, those edges are still inactive: their flow
-is ``+-0``, and a term ``B_ij (+-0)`` leaves a sparse row sum, which starts
-at ``+0.0``, unchanged.  Once the bound fails, or ``D`` is not finite, the
-epoch evaluates every edge and takes a new working set.  A working set is
-used only when it leaves out at least half the edges and at least 1 024
-rows of ``B^T``; smaller graphs evaluate every edge in every epoch.  One
-last full evaluation at the returned ``phi`` gives the flow, with its
-signed zeros, and the dual value.  No output bit changes: ``phi``, the
-epoch count, the divergence epoch, the residual, the flow and the report
-are those of the full evaluation in every epoch.
+out, less a round-off allowance, none of them can carry flow (``L = 1 +
+max_e |sigma_e|_2``, ``D`` bounds how far any vertex of ``phi`` has moved
+since), so their terms of ``B J``, each ``+-0``, are dropped.  The set is
+used only when it leaves out half the edges and 1 024 rows of ``B^T``.  A
+last full evaluation gives the flow and the report; no output bit changes.
 
 :func:`wasserstein_lp` gives the exact linear-programming value for d = 1.
 """
