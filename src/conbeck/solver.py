@@ -181,8 +181,11 @@ class _Dual:
         self.grad = np.empty(g.n * d)
         # no working set of a graph this small leaves out enough rows
         self.screens = m * d >= _MIN_LEFT_OUT_ROWS
-        self.working = None
+        self.left = self.working = None
         self.restricted = False
+        self.misses = self.hold = 0
+        self.keep_floor = -_KEEP * g.weights
+        self.left_out = np.empty(m, dtype=bool)
         # (B^T phi)_e = phi_i - sigma_e phi_j moves by at most lip times the
         # largest move of a vertex: a valid graph's |sigma^T sigma - I|_max
         # is at most ORTHOGONALITY_TOL, so |sigma|_2^2 <= 1 + d ORTHOGONALITY_TOL
@@ -231,43 +234,61 @@ class _Dual:
         a row sum of ``B J`` that starts at ``+0.0``.  So only the working
         set's rows of ``B^T`` and columns of ``B`` are multiplied.
         Otherwise, or when ``D`` is not finite, every edge is evaluated and
-        ``phi`` becomes the anchor of a new working set.
+        ``phi`` becomes the anchor of a new working set, unless the last ones
+        were refused at their first epoch.
         """
         self.restricted = (
-            self.working is not None
+            self.left is not None
             and self.lip * self.moved_by + self.allowance * self.since < self.slack
         )
         if self.restricted:
+            if self.working is None:
+                # sliced at the first epoch that uses them, so an anchor whose
+                # bound fails at once costs no slicing
+                kept = np.flatnonzero(~self.left)
+                d, m = self.flow.shape
+                rows = (kept + m * np.arange(d)[:, None]).ravel()
+                e = self.edges
+                self.working = _Edges(e.bmat_t[rows], e.bmat[:, rows], e.w[kept], d)
             self._evaluate(self.working, phi)
         else:
             self.evaluate(phi)
-            self._anchor(phi)
+            if self.left is not None:
+                # a working set the bound refused at its first epoch saved
+                # nothing; after k such in a row, the next 2^k - 1 epochs (at
+                # most 63) evaluate every edge before another one is taken
+                self.misses = self.misses + 1 if self.since == 1 else 0
+                self.hold = 2 ** min(self.misses, 6) - 1
+            if self.hold:
+                self.hold -= 1
+                self.left = None
+            else:
+                self._anchor(phi)
 
     def _anchor(self, phi):
-        """Take the working set at ``phi``, just evaluated on every edge."""
+        """Take the edges to leave out at ``phi``, just evaluated on every edge."""
         self.working = None
-        excess, w, (d, m) = self.excess, self.edges.w, self.flow.shape
-        left = excess < -_KEEP * w
+        left = np.less(self.excess, self.keep_floor, out=self.left_out)
         count = int(np.count_nonzero(left))
-        if 2 * count < m or count * d < _MIN_LEFT_OUT_ROWS:
+        d, m = self.flow.shape
+        self.left = left if 2 * count >= m and count * d >= _MIN_LEFT_OUT_ROWS else None
+        if self.left is None:
             return
-        kept = np.flatnonzero(~left)
-        rows = (kept + m * np.arange(d)[:, None]).ravel()
-        self.working = _Edges(self.edges.bmat_t[rows], self.edges.bmat[:, rows], w[kept], d)
         # while the bound holds, |phi| stays below |phi0| + D and lip D below
         # the slack, itself below w_max; the norms at the anchor and at phi
         # each round off by a few (d + 2)^2 units in the last place of that scale
-        phi_max = float(np.abs(phi).max(initial=0.0))
+        phi_max = max(float(phi.max()), -float(phi.min()))
         scale = self.w_max * (1 + self.root_d) + self.lip * self.root_d * phi_max
         self.allowance = _ROUNDOFF * scale
-        self.slack = -float(excess[left].max()) - self.allowance * (d + 2) ** 2
+        most = float(np.where(left, self.excess, -np.inf).max())
+        self.slack = -most - self.allowance * (d + 2) ** 2
         self.moved_by, self.since = 0.0, 0
 
     def moved(self, step):
         """Record one step added to ``phi``: ``D`` grows by
         ``sqrt(d) |step|_inf``, which bounds the step of every vertex.  A
         step with a NaN makes ``D`` NaN, which fails the bound."""
-        if self.working is not None:
+        if self.left is not None:
             self.moved_by += self.root_d * max(float(step.max()), -float(step.min()))
             self.since += 1
 

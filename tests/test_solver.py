@@ -588,6 +588,32 @@ def test_solve_on_a_working_set_with_random_sigmas_equals_edge_major_loop(d, mon
     assert len(calls) < report.epochs_used / 2  # the working set ran
 
 
+def test_solve_slices_no_working_set_that_the_bound_refuses_at_once(
+    sphere_patch_problem, monkeypatch
+):
+    # at 12 times the stable step the ascent oscillates without diverging,
+    # and each working set fails the bound at the first epoch after its anchor
+    g, alpha, beta, opts = sphere_patch_problem
+    opts = SolveOptions(learning_rate=12 * opts.learning_rate, max_epochs=300)
+    anchors, edge_sets = [], []
+    take, edges_init = solver._Dual._anchor, solver._Edges.__init__
+
+    def counted_anchor(self, phi):
+        anchors.append(1)
+        take(self, phi)
+
+    def counted_edges(self, *args):
+        edge_sets.append(1)
+        edges_init(self, *args)
+
+    monkeypatch.setattr(solver._Dual, "_anchor", counted_anchor)
+    monkeypatch.setattr(solver._Edges, "__init__", counted_edges)
+    report = assert_same_iterates(g, alpha, beta, opts)
+    assert not report.converged and report.epochs_used == 300
+    assert len(edge_sets) == 1  # every edge's; no working set was sliced
+    assert 5 <= len(anchors) < 30  # refused sets are retried ever more rarely
+
+
 @pytest.mark.parametrize("scale", [50.0, math.nan])
 def test_solve_on_a_working_set_diverges_at_edge_major_loop_epoch(sphere_patch_problem, scale):
     g, alpha, beta, opts = sphere_patch_problem
