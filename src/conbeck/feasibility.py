@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeasibilityError
+from .errors import FeasibilityError, InvalidGraphError
 from .graph import ConnectionGraph, tree_products
 
 __all__ = [
@@ -134,15 +134,31 @@ def _at_most_d_kernel_modes(g: ConnectionGraph, depth):
     return depth == 0 or g.n * depth * theta < g.weights.min()
 
 
+def _finite(g: ConnectionGraph, field, name):
+    """``field``, one field or a (k, n, d) stack, as a float array.  A NaN or
+    infinite entry raises :class:`InvalidGraphError` naming the field (in a
+    stack, ``name`` and its index) and its first such vertex."""
+    values = np.asarray(field, dtype=float)
+    stack = values.reshape(-1, g.n, g.d)
+    bad = np.argwhere(~np.isfinite(stack).all(axis=2))
+    if len(bad):
+        k, vertex = bad[0]
+        label = f"{name} {k}" if values.ndim == 3 else name
+        raise InvalidGraphError(
+            f"{label} is not finite at vertex {vertex}: {stack[k, vertex].tolist()}"
+        )
+    return values
+
+
 def feasibility_report(g: ConnectionGraph, alpha, beta, tol=1e-8):
     """Feasibility verdict with the violated kernel components.
 
     Returns ``(feasible, violations, basis)`` where violations is a list of
     ``(component_index, inner_product)`` pairs with magnitude above
-    ``tol * max(1, |alpha - beta|_2)``.
+    ``tol * max(1, |alpha - beta|_2)``.  A field with a NaN or infinite
+    entry raises :class:`InvalidGraphError`.
     """
-    diff = np.asarray(alpha, dtype=float) - np.asarray(beta, dtype=float)
-    diff = diff.reshape(g.n, g.d)
+    diff = (_finite(g, alpha, "alpha") - _finite(g, beta, "beta")).reshape(g.n, g.d)
     basis = g.kernel
     scale = max(1.0, float(np.linalg.norm(diff)))
     ips = basis.inner_products(diff)
@@ -235,10 +251,11 @@ def project_feasible(g: ConnectionGraph, field):
     and returned with the same shape.  The modes are
     ``g.near_kernel_modes``, one sparse eigensolve per graph (see
     :func:`_lowest_modes`) that :func:`kernel_structured` also reads, so no
-    dense L is formed above the smallest graphs.
+    dense L is formed above the smallest graphs.  A field with a NaN or
+    infinite entry raises :class:`InvalidGraphError`.
     """
     g.require_valid()
-    field = np.asarray(field, dtype=float)
+    field = _finite(g, field, "field")
     rows = field.reshape(-1, g.n * g.d)
     modes = g.near_kernel_modes[0]
     out = rows - (rows @ modes) @ modes.T

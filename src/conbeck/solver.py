@@ -34,13 +34,15 @@ their order, so the results are those of the edge-major formulas bit for
 bit.
 
 The ascent evaluates most epochs on a working set: the edges whose excess
-was at least ``-0.4 w(e)`` at the last evaluation of every edge.  While
-``L D`` stays below the smallest slack ``w(e) - |g_e|`` of the edges left
-out, less a round-off allowance, none of them can carry flow (``L = 1 +
-max_e |sigma_e|_2``, ``D`` bounds how far any vertex of ``phi`` has moved
-since), so their terms of ``B J``, each ``+-0``, are dropped.  The set is
-used only when it leaves out half the edges and 1 024 rows of ``B^T``.  A
-last full evaluation gives the flow and the report; no output bit changes.
+was at least ``-0.4 w(e)`` at the anchor ``phi0``, the last full
+evaluation.  While ``L D`` stays below the smallest slack ``w(e) - |g_e|``
+of the edges left out, less a round-off allowance, none of them can carry
+flow (``L = 1 + max_e |sigma_e|_2``, ``D = sqrt(d) |phi - phi0|_inf``), so
+their terms of ``B J``, each ``+-0``, are dropped.  After k anchors in a
+row that save nothing (they leave out fewer than half the edges or 1 024
+rows of ``B^T``, or the bound fails before their first use), the next
+``2^k - 1`` epochs (at most 63) evaluate every edge.  A last full
+evaluation gives the flow and the report; no output bit changes.
 
 :func:`wasserstein_lp` gives the exact linear-programming value for d = 1.
 """
@@ -128,15 +130,15 @@ def _edge_norms(flow):
 #: ``w_e - |g_e|`` above ``_KEEP * w_e``.
 _KEEP = 0.4
 
-#: A working set is used only when it leaves out at least half the edges
-#: and at least this many rows of ``B^T``; below that, slicing the
+#: An anchor takes a working set only when it leaves out at least half the
+#: edges and at least this many rows of ``B^T``; below that, slicing the
 #: operators and keeping the bound cost more than the smaller products save.
 _MIN_LEFT_OUT_ROWS = 1024
 
-#: Round-off allowance of the bound, per epoch and per term, relative to
-#: the scale of ``w`` and ``phi``: about 10^4 units in the last place, far
-#: more than the rounding of the norms at the anchor and at ``phi``, and of
-#: each step added to ``phi``, can move an edge's computed excess.
+#: Round-off allowance of the bound, per term, relative to the scale of
+#: ``w`` and ``phi``: about 10^4 units in the last place, far more than the
+#: rounding of the norms at the anchor and at ``phi``, and of ``D``, can
+#: move an edge's computed excess.
 _ROUNDOFF = 1e-12
 
 
@@ -160,10 +162,11 @@ class _Dual:
     which is the dual gradient); :meth:`value` reads the dual value off
     the last evaluation.
 
-    The ascent evaluates through :meth:`evaluate_near` instead, which runs
-    the same body on a working set of edges while a Lipschitz bound shows
-    that every edge left out is still inactive; :meth:`moved` records each
-    step of ``phi`` for that bound.
+    The ascent evaluates through :meth:`evaluate_near` instead, which owns
+    the working set: it runs the same body on the edges kept at the anchor
+    ``phi0`` while ``L D``, with ``D = sqrt(d) |phi - phi0|_inf``, shows
+    that every edge left out is still inactive, and backs off from anchors
+    that save nothing.
     """
 
     def __init__(self, g, c, lam):
@@ -179,13 +182,13 @@ class _Dual:
         self.excess, self.flow = self.edges.excess, self.edges.flow
         self.c, self.lam = c.reshape(-1), lam
         self.grad = np.empty(g.n * d)
-        # no working set of a graph this small leaves out enough rows
-        self.screens = m * d >= _MIN_LEFT_OUT_ROWS
         self.left = self.working = None
         self.restricted = False
         self.misses = self.hold = 0
         self.keep_floor = -_KEEP * g.weights
         self.left_out = np.empty(m, dtype=bool)
+        self.phi0 = np.empty(g.n * d)
+        self.delta = np.empty(g.n * d)
         # (B^T phi)_e = phi_i - sigma_e phi_j moves by at most lip times the
         # largest move of a vertex: a valid graph's |sigma^T sigma - I|_max
         # is at most ORTHOGONALITY_TOL, so |sigma|_2^2 <= 1 + d ORTHOGONALITY_TOL
@@ -226,21 +229,23 @@ class _Dual:
         in ``grad``; ``excess`` and ``flow`` are left as they were when
         ``restricted`` is set.
 
-        ``D`` bounds ``max_i |phi_i - phi0_i|`` since the anchor ``phi0``,
-        so no edge's ``|g_e|`` has moved by more than ``lip D``.  While that
-        stays below the smallest slack of the edges left out at the anchor,
-        less the round-off allowance, each of them is still inactive: its
-        flow is ``+-0``, and each of its terms ``B_ij (+-0)`` adds nothing to
-        a row sum of ``B J`` that starts at ``+0.0``.  So only the working
-        set's rows of ``B^T`` and columns of ``B`` are multiplied.
-        Otherwise, or when ``D`` is not finite, every edge is evaluated and
-        ``phi`` becomes the anchor of a new working set, unless the last ones
-        were refused at their first epoch.
+        ``D = sqrt(d) |phi - phi0|_inf`` bounds ``max_i |phi_i - phi0_i|``
+        from the anchor ``phi0``, so no edge's ``|g_e|`` has moved by more
+        than ``lip D``.  While that stays below the smallest slack of the
+        edges left out at the anchor, less the round-off allowance, each of
+        them is still inactive: its flow is ``+-0``, and each of its terms
+        ``B_ij (+-0)`` adds nothing to a row sum of ``B J`` that starts at
+        ``+0.0``.  So only the working set's rows of ``B^T`` and columns of
+        ``B`` are multiplied.  Otherwise, or when ``D`` is not finite, every
+        edge is evaluated and ``phi`` becomes the next anchor.  An anchor
+        saves nothing when :meth:`_anchor` declines it or the bound refuses
+        its set before the set is sliced; after k of those in a row, the
+        next ``2^k - 1`` epochs (at most 63) evaluate every edge.
         """
-        self.restricted = (
-            self.left is not None
-            and self.lip * self.moved_by + self.allowance * self.since < self.slack
-        )
+        if self.left is not None:
+            np.abs(np.subtract(phi, self.phi0, out=self.delta), out=self.delta)
+            # a NaN in phi makes D NaN, which fails the bound
+            self.restricted = self.lip * self.root_d * float(self.delta.max()) < self.slack
         if self.restricted:
             if self.working is None:
                 # sliced at the first epoch that uses them, so an anchor whose
@@ -251,19 +256,20 @@ class _Dual:
                 e = self.edges
                 self.working = _Edges(e.bmat_t[rows], e.bmat[:, rows], e.w[kept], d)
             self._evaluate(self.working, phi)
+            return
+        self.evaluate(phi)
+        if self.left is not None:
+            self._settle(saved=self.working is not None)
+        if self.hold:
+            self.hold -= 1
         else:
-            self.evaluate(phi)
-            if self.left is not None:
-                # a working set the bound refused at its first epoch saved
-                # nothing; after k such in a row, the next 2^k - 1 epochs (at
-                # most 63) evaluate every edge before another one is taken
-                self.misses = self.misses + 1 if self.since == 1 else 0
-                self.hold = 2 ** min(self.misses, 6) - 1
-            if self.hold:
-                self.hold -= 1
-                self.left = None
-            else:
-                self._anchor(phi)
+            self._anchor(phi)
+
+    def _settle(self, saved):
+        """Close the last anchor, counting it in the back-off unless it saved products."""
+        self.left = None
+        self.misses = 0 if saved else self.misses + 1
+        self.hold = 2 ** min(self.misses, 6) - 1
 
     def _anchor(self, phi):
         """Take the edges to leave out at ``phi``, just evaluated on every edge."""
@@ -271,26 +277,18 @@ class _Dual:
         left = np.less(self.excess, self.keep_floor, out=self.left_out)
         count = int(np.count_nonzero(left))
         d, m = self.flow.shape
-        self.left = left if 2 * count >= m and count * d >= _MIN_LEFT_OUT_ROWS else None
-        if self.left is None:
+        if 2 * count < m or count * d < _MIN_LEFT_OUT_ROWS:
+            self._settle(saved=False)
             return
+        self.left = left
+        self.phi0[:] = phi
         # while the bound holds, |phi| stays below |phi0| + D and lip D below
         # the slack, itself below w_max; the norms at the anchor and at phi
         # each round off by a few (d + 2)^2 units in the last place of that scale
-        phi_max = max(float(phi.max()), -float(phi.min()))
+        phi_max = float(np.abs(phi, out=self.delta).max())
         scale = self.w_max * (1 + self.root_d) + self.lip * self.root_d * phi_max
-        self.allowance = _ROUNDOFF * scale
         most = float(np.where(left, self.excess, -np.inf).max())
-        self.slack = -most - self.allowance * (d + 2) ** 2
-        self.moved_by, self.since = 0.0, 0
-
-    def moved(self, step):
-        """Record one step added to ``phi``: ``D`` grows by
-        ``sqrt(d) |step|_inf``, which bounds the step of every vertex.  A
-        step with a NaN makes ``D`` NaN, which fails the bound."""
-        if self.left is not None:
-            self.moved_by += self.root_d * max(float(step.max()), -float(step.min()))
-            self.since += 1
+        self.slack = -most - _ROUNDOFF * scale * (d + 2) ** 2
 
     def value(self, phi):
         """Dual value at ``phi``, the point of the last evaluation on every edge."""
@@ -358,10 +356,11 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
 
     Returns ``(flow, phi, report)``.  Infeasible pairs raise
     :class:`FeasibilityError` up front, naming the violated kernel
-    components.  Non-convergence within ``max_epochs`` is reported via
-    ``report.converged`` rather than an exception; a residual that turns
-    non-finite (the step is too large and the ascent diverged) raises
-    :class:`NonConvergenceError` at once.
+    components, and a field with a NaN or infinite entry raises
+    :class:`InvalidGraphError`.  Non-convergence within ``max_epochs`` is
+    reported via ``report.converged`` rather than an exception; a residual
+    that turns non-finite (the step is too large and the ascent diverged)
+    raises :class:`NonConvergenceError` at once.
     """
     if opts is None:
         opts = SolveOptions()
@@ -376,10 +375,6 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
         grad_tol = 1e-8 * (1.0 + float(np.linalg.norm(c_vec)))
 
     dual = _Dual(g, c, lam)
-    # a graph too small for a working set evaluates every edge in every
-    # epoch, with no bookkeeping for the bound
-    screens = dual.screens
-    evaluate = dual.evaluate_near if screens else dual.evaluate
     lr = float(opts.learning_rate)
     phi = np.zeros(g.n * g.d)
     step = np.empty_like(phi)
@@ -391,7 +386,7 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
     # the evaluation divides by the zero norms of edges it then clips to zero
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            evaluate(phi)
+            dual.evaluate_near(phi)
             grad_norm = float(np.linalg.norm(dual.grad))
             if not math.isfinite(grad_norm):
                 raise NonConvergenceError(
@@ -405,8 +400,6 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
             if epochs_used >= opts.max_epochs:
                 break
             phi += np.multiply(dual.grad, lr, out=step)
-            if screens:
-                dual.moved(step)
             epochs_used += 1
         if dual.restricted:
             # the flow, value and gap read every edge

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
+from .feasibility import _finite
 from .graph import ConnectionGraph, _bfs, apply_B
 from .solver import SolveOptions, _resolve_lam, solve_regularized
 
@@ -156,15 +157,16 @@ def distance_matrix(
     exhausts the epoch budget raises :class:`NonConvergenceError` unless
     ``require_convergence=False``.  With ``return_converged=True`` a boolean
     matrix of per-pair convergence flags is returned alongside (infeasible
-    pairs and the diagonal count as converged).  An invalid graph, or an
-    ``opts.lam`` that is not positive and finite, raises
-    :class:`InvalidGraphError` before any solve, even when there is no pair.
+    pairs and the diagonal count as converged).  An invalid graph, an
+    ``opts.lam`` that is not positive and finite, or a field with a NaN or
+    infinite entry raises :class:`InvalidGraphError` before any solve, even
+    when there is no pair.
     """
     if opts is None:
         opts = SolveOptions()
     g.require_valid()
     _resolve_lam(g, opts.lam)
-    fields = [np.asarray(f, dtype=float).reshape(g.n, g.d) for f in fields]
+    fields = [_finite(g, f, f"field {k}").reshape(g.n, g.d) for k, f in enumerate(fields)]
     k = len(fields)
     dist = np.zeros((k, k))
     conv = np.ones((k, k), dtype=bool)

@@ -27,13 +27,22 @@ from conbeck.feasibility import (
     project_feasible,
     require_feasible,
 )
-from conbeck.graph import ConnectionGraph, apply_BT, fundamental_cycles, is_consistent, switch
+from conbeck.graph import (
+    ConnectionGraph,
+    apply_B,
+    apply_BT,
+    fundamental_cycles,
+    is_consistent,
+    switch,
+)
 from conbeck.manifold import (
     epsilon_graph,
     procrustes_connection,
     sample_torus,
     tangent_frames,
 )
+from conbeck.solver import solve_regularized, wasserstein
+from conbeck.toolkit import distance_matrix
 
 from conftest import (
     curved_sphere_patch,
@@ -303,6 +312,34 @@ def test_trivial_d1_feasible_iff_equal_mass():
     beta_equal *= alpha.sum() / beta_equal.sum()
     assert is_feasible(g, alpha, beta_equal)
     assert not is_feasible(g, alpha, beta_equal + 0.01)
+
+
+NON_FINITE_CALLS = {
+    "is_feasible": (is_feasible, ("alpha", "beta")),
+    "solve_regularized": (solve_regularized, ("alpha", "beta")),
+    "wasserstein": (wasserstein, ("alpha", "beta")),
+    "distance_matrix": (lambda g, a, b: distance_matrix(g, [a, b]), ("field 0", "field 1")),
+    "project_feasible": (
+        lambda g, a, b: project_feasible(g, np.stack([a, b])),
+        ("field 0", "field 1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [0, 1])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_field_is_refused_naming_field_and_vertex(call, bad, value):
+    # NaN fails every comparison and inf makes the feasibility scale inf, so
+    # without the check both read as feasible and the ascent diverges at once
+    rng = np.random.default_rng(31)
+    g = random_connected_graph(rng, n=8, d=2, extra_edges=4)
+    fields = [apply_B(g, rng.standard_normal((g.m, 2))), np.zeros((g.n, 2))]
+    fields[bad][5, 1] = value
+    fields[bad][6, 0] = value
+    run, names = NON_FINITE_CALLS[call]
+    with pytest.raises(InvalidGraphError, match=f"^{names[bad]} is not finite at vertex 5:"):
+        run(g, *fields)
 
 
 # ---------------------------------------------------------------- projection

@@ -14,6 +14,7 @@ Hand oracles frozen here:
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -543,17 +544,22 @@ def sphere_patch_problem():
     return patch_problem(2)
 
 
-def count_full_evaluations(monkeypatch):
-    """Count the calls of ``_Dual.evaluate``, the evaluation on every edge."""
+def count_calls(monkeypatch, name):
+    """Count the calls of the ``_Dual`` method ``name``."""
     calls = []
-    evaluate = solver._Dual.evaluate
+    method = getattr(solver._Dual, name)
 
     def counted(self, phi):
         calls.append(1)
-        return evaluate(self, phi)
+        return method(self, phi)
 
-    monkeypatch.setattr(solver._Dual, "evaluate", counted)
+    monkeypatch.setattr(solver._Dual, name, counted)
     return calls
+
+
+def count_full_evaluations(monkeypatch):
+    """Count the calls of ``_Dual.evaluate``, the evaluation on every edge."""
+    return count_calls(monkeypatch, "evaluate")
 
 
 def test_solve_on_a_working_set_equals_edge_major_loop(sphere_patch_problem):
@@ -612,6 +618,60 @@ def test_solve_slices_no_working_set_that_the_bound_refuses_at_once(
     assert not report.converged and report.epochs_used == 300
     assert len(edge_sets) == 1  # every edge's; no working set was sliced
     assert 5 <= len(anchors) < 30  # refused sets are retried ever more rarely
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_every_restricted_epoch_has_the_gradient_of_a_full_evaluation(d, monkeypatch):
+    # at 12 times the stable step the ascent oscillates, so phi moves far
+    # from each anchor and the bound is tested near where it fails
+    g, alpha, beta, opts = patch_problem(d)
+    reference = solver._Dual(g, alpha - beta, g.w_max)
+    evaluate_near = solver._Dual.evaluate_near
+    restricted = []
+
+    def audited(self, phi):
+        evaluate_near(self, phi)
+        if self.restricted:
+            reference.evaluate(phi)
+            assert_same_bits(self.grad, reference.grad)
+            restricted.append(1)
+
+    monkeypatch.setattr(solver._Dual, "evaluate_near", audited)
+    for scale in (1, 3, 12):
+        step = SolveOptions(
+            learning_rate=scale * opts.learning_rate, grad_tol=opts.grad_tol, max_epochs=6000
+        )
+        # d = 5 diverges at 12 times the step; the epochs before are audited
+        with contextlib.suppress(NonConvergenceError):
+            solve_regularized(g, alpha, beta, step)
+    assert restricted
+
+
+def test_solve_backs_off_from_anchors_that_leave_out_too_few_edges(
+    sphere_patch_problem, monkeypatch
+):
+    # two standard-normal fields put flow on most edges, so each anchor
+    # is declined
+    g, _, _, opts = sphere_patch_problem
+    rng = np.random.default_rng(17)
+    alpha, beta = rng.standard_normal((2, g.n, g.d))
+    anchors = count_calls(monkeypatch, "_anchor")
+    opts = SolveOptions(learning_rate=opts.learning_rate, max_epochs=2000)
+    _, _, report = solve_regularized(g, alpha, beta, opts)
+    assert report.epochs_used == 2000
+    assert 0 < len(anchors) < report.epochs_used / 10
+
+
+def test_solve_on_a_graph_below_the_floor_backs_off_its_anchors(
+    diamond_problem, monkeypatch
+):
+    g, alpha, beta, _ = diamond_problem
+    assert g.m * g.d < solver._MIN_LEFT_OUT_ROWS
+    anchors = count_calls(monkeypatch, "_anchor")
+    opts = SolveOptions(lam=1.0, learning_rate=1e-3, grad_tol=0.0, max_epochs=3000)
+    _, _, report = solve_regularized(g, alpha, beta, opts)
+    assert report.epochs_used == 3000
+    assert 0 < len(anchors) <= 7 + report.epochs_used / 64  # one evaluation path
 
 
 @pytest.mark.parametrize("scale", [50.0, math.nan])
