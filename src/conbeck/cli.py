@@ -26,7 +26,7 @@ from .feasibility import (
     feasibility_switching,
     project_feasible,
 )
-from .graph import is_consistent, switch
+from .graph import _shaped, is_consistent, switch
 from .solver import SolveOptions, solve_regularized
 
 # manifold, hurdat and toolkit are imported by the commands that run them
@@ -119,12 +119,14 @@ def _cmd_check(args):
     return 0
 
 
+def _load_field(g, path):
+    return _shaped(g, io.load_field(path), path, g.n)
+
+
 def _cmd_feasible(args):
     g = io.load_graph(args.graph)
-    alpha = io.load_field(args.alpha)
-    beta = io.load_field(args.beta)
-    _require_field_shape(alpha, g, args.alpha)
-    _require_field_shape(beta, g, args.beta)
+    alpha = _load_field(g, args.alpha)
+    beta = _load_field(g, args.beta)
     feasible, violations, _ = feasibility_report(g, alpha, beta, tol=args.tol)
     if feasible:
         print("feasible")
@@ -147,10 +149,8 @@ def _cmd_switch(args):
 
 def _cmd_solve(args):
     g = io.load_graph(args.graph)
-    alpha = io.load_field(args.alpha)
-    beta = io.load_field(args.beta)
-    _require_field_shape(alpha, g, args.alpha)
-    _require_field_shape(beta, g, args.beta)
+    alpha = _load_field(g, args.alpha)
+    beta = _load_field(g, args.beta)
     if not _check_lambda(args, g):
         return 1
     flow, _, report = solve_regularized(g, alpha, beta, _solve_options(args))
@@ -196,14 +196,8 @@ def _cmd_interp(args):
     from .toolkit import edge_rings, interpolate_trajectory, nodal_support
 
     g = io.load_graph(args.graph)
-    alpha = io.load_field(args.alpha)
-    _require_field_shape(alpha, g, args.alpha)
-    flow = io.load_flow(args.flow)
-    if flow.shape != (g.m, g.d):
-        raise FormatError(
-            f"{args.flow}: flow shape {flow.shape} does not match graph "
-            f"({g.m} edges, d={g.d})"
-        )
+    alpha = _load_field(g, args.alpha)
+    flow = _shaped(g, io.load_flow(args.flow), args.flow, g.m)
     rings = edge_rings(g, nodal_support(alpha))
     states = interpolate_trajectory(g, alpha, flow, rings, args.steps)
     ambient = None
@@ -232,11 +226,7 @@ def _cmd_distmat(args):
     if not paths:
         _err(f"no .json field files found in {args.fields_dir}")
         return 1
-    fields = []
-    for path in paths:
-        field = io.load_field(path)
-        _require_field_shape(field, g, path)
-        fields.append(field)
+    fields = [_load_field(g, path) for path in paths]
     if args.project_kernel:
         fields = project_feasible(g, np.stack(fields))
     dist, conv = distance_matrix(
@@ -315,14 +305,6 @@ def _cmd_hurdat(args):
         written += 1
     print(f"wrote {written} fields to {outdir}")
     return 0
-
-
-def _require_field_shape(field, g, path):
-    if field.shape != (g.n, g.d):
-        raise FormatError(
-            f"{path}: field shape {field.shape} does not match graph "
-            f"(n={g.n}, d={g.d})"
-        )
 
 
 # ---------------------------------------------------------------------------

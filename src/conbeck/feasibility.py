@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, InvalidGraphError
-from .graph import ConnectionGraph, tree_products
+from .graph import ConnectionGraph, _shaped, tree_products
 
 __all__ = [
     "KernelBasis",
@@ -135,17 +135,14 @@ def _at_most_d_kernel_modes(g: ConnectionGraph, depth):
 
 
 def _finite(g: ConnectionGraph, field, name):
-    """``field``, one field or a (k, n, d) stack, as a float array.  A NaN or
-    infinite entry raises :class:`InvalidGraphError` naming the field (in a
-    stack, ``name`` and its index) and its first such vertex."""
-    values = np.asarray(field, dtype=float)
-    stack = values.reshape(-1, g.n, g.d)
-    bad = np.argwhere(~np.isfinite(stack).all(axis=2))
-    if len(bad):
-        k, vertex = bad[0]
-        label = f"{name} {k}" if values.ndim == 3 else name
+    """``field`` as a float (n, d) array, shaped by :func:`conbeck.graph._shaped`.
+    A NaN or infinite entry raises :class:`InvalidGraphError` naming the field
+    and its first such vertex."""
+    values = _shaped(g, field, name, g.n)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
         raise InvalidGraphError(
-            f"{label} is not finite at vertex {vertex}: {stack[k, vertex].tolist()}"
+            f"{name} is not finite at vertex {bad[0]}: {values[bad[0]].tolist()}"
         )
     return values
 
@@ -158,7 +155,7 @@ def feasibility_report(g: ConnectionGraph, alpha, beta, tol=1e-8):
     ``tol * max(1, |alpha - beta|_2)``.  A field with a NaN or infinite
     entry raises :class:`InvalidGraphError`.
     """
-    diff = (_finite(g, alpha, "alpha") - _finite(g, beta, "beta")).reshape(g.n, g.d)
+    diff = _finite(g, alpha, "alpha") - _finite(g, beta, "beta")
     basis = g.kernel
     scale = max(1.0, float(np.linalg.norm(diff)))
     ips = basis.inner_products(diff)
@@ -246,20 +243,25 @@ def project_feasible(g: ConnectionGraph, field):
 
     The modes are the eigenvectors of L with eigenvalue at most
     ``NEAR_KERNEL_RATIO * max(lambda_max, 1)``, so the result is feasible
-    against any likewise projected field.  ``field`` is one (n, d) field or
-    a (k, n, d) stack; a stack is projected against a single set of modes
-    and returned with the same shape.  The modes are
+    against any likewise projected field.  ``field`` is one field, (n, d) or
+    flat, or a (k, n, d) stack, projected against a single set of modes; the
+    result has the shape of ``field``.  The modes are
     ``g.near_kernel_modes``, one sparse eigensolve per graph (see
     :func:`_lowest_modes`) that :func:`kernel_structured` also reads, so no
     dense L is formed above the smallest graphs.  A field with a NaN or
     infinite entry raises :class:`InvalidGraphError`.
     """
     g.require_valid()
-    field = _finite(g, field, "field")
+    field = np.asarray(field, dtype=float)
+    if field.ndim == 3:
+        for k, one in enumerate(field):
+            _finite(g, one, f"field {k}")
+    else:
+        _finite(g, field, "field")
     rows = field.reshape(-1, g.n * g.d)
     modes = g.near_kernel_modes[0]
     out = rows - (rows @ modes) @ modes.T
-    return out.reshape(-1, g.n, g.d) if field.ndim == 3 else out.reshape(g.n, g.d)
+    return out.reshape(field.shape)
 
 
 def feasibility_switching(g: ConnectionGraph, root=0):

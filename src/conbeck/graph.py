@@ -216,18 +216,13 @@ class ConnectionGraph:
 
     @cached_property
     def weighted_degrees(self):
-        deg = np.zeros(self.n)
-        np.add.at(deg, self.edge_index[:, 0], self.weights)
-        np.add.at(deg, self.edge_index[:, 1], self.weights)
-        return deg
+        ends = self.edge_index.T.reshape(-1)
+        return np.bincount(ends, np.concatenate([self.weights, self.weights]), minlength=self.n)
 
     @cached_property
     def max_degree(self):
         """Largest unweighted vertex degree."""
-        counts = np.zeros(self.n, dtype=int)
-        np.add.at(counts, self.edge_index[:, 0], 1)
-        np.add.at(counts, self.edge_index[:, 1], 1)
-        return int(counts.max()) if self.n else 0
+        return int(np.bincount(self.edge_index.reshape(-1), minlength=self.n).max())
 
     @property
     def w_max(self):
@@ -441,19 +436,30 @@ def connection_laplacian(g: ConnectionGraph):
     return g.laplacian_matrix
 
 
+def _shaped(g: ConnectionGraph, array, name, rows):
+    """``array`` as a float (rows, d) array: ``rows`` is ``g.n`` for a vertex
+    field or potential and ``g.m`` for an edge flow.  It must have that shape
+    or the flat (rows * d,) one; any other shape raises
+    :class:`InvalidGraphError` naming ``name`` and the expected shape."""
+    values = np.asarray(array, dtype=float)
+    if values.shape not in ((rows, g.d), (rows * g.d,)):
+        raise InvalidGraphError(f"{name} has shape {values.shape}; expected {(rows, g.d)}")
+    return values.reshape(rows, g.d)
+
+
 def apply_BT(g: ConnectionGraph, phi):
     """Apply ``B^T`` to a vertex field: ``(B^T phi)(e) = phi(i) - sigma_e phi(j)``.
 
     ``phi`` has shape (n, d); the result has shape (m, d).
     """
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    return (g.incidence_matrix_T @ phi).reshape(g.m, g.d)
+    phi = _shaped(g, phi, "phi", g.n)
+    return (g.incidence_matrix_T @ phi.reshape(-1)).reshape(g.m, g.d)
 
 
 def apply_B(g: ConnectionGraph, flow):
     """Apply ``B`` to an edge flow, returning the net divergence field (n, d)."""
-    flow = np.asarray(flow, dtype=float).reshape(-1)
-    return (g.incidence_matrix @ flow).reshape(g.n, g.d)
+    flow = _shaped(g, flow, "flow", g.m)
+    return (g.incidence_matrix @ flow.reshape(-1)).reshape(g.n, g.d)
 
 
 def _spanning_tree(g: ConnectionGraph, root):

@@ -17,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import FormatError
-from .graph import ORTHOGONALITY_TOL, ConnectionGraph, _index_oriented, _snap
+from .graph import ORTHOGONALITY_TOL, ConnectionGraph, _index_oriented, _shaped, _snap
 
 __all__ = [
     "graph_from_dict",
@@ -522,8 +522,7 @@ def load_labels(path):
 
 def save_active_edges(path, g, flow, delta=0.0):
     """Write active edges (per-edge flow norm above ``delta``) as CSV."""
-    flow = np.asarray(flow, dtype=float).reshape(g.m, g.d)
-    norms = np.linalg.norm(flow, axis=1)
+    norms = np.linalg.norm(_shaped(g, flow, "flow", g.m), axis=1)
     active = np.flatnonzero(norms > delta)
     rows = zip(active.tolist(), g.edge_index[active].tolist(), norms[active].tolist())
     with open(path, "w", encoding="utf-8") as fh:

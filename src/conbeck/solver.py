@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .feasibility import require_feasible
-from .graph import ORTHOGONALITY_TOL, ConnectionGraph, apply_BT
+from .graph import ORTHOGONALITY_TOL, ConnectionGraph, _shaped, apply_BT
 
 __all__ = [
     "SolveOptions",
@@ -113,12 +113,6 @@ def _resolve_lam(g, lam):
     if not 0 < lam < np.inf:
         raise InvalidGraphError(f"regularization lambda must be positive and finite, got {lam}")
     return lam
-
-
-def _difference(g, alpha, beta):
-    a = np.asarray(alpha, dtype=float).reshape(g.n, g.d)
-    b = np.asarray(beta, dtype=float).reshape(g.n, g.d)
-    return a - b
 
 
 def _edge_norms(flow):
@@ -297,42 +291,43 @@ class _Dual:
 
 
 def _evaluated(g, phi, c, lam):
-    """The dual of ``(g, c, lam)`` evaluated once at ``phi``."""
+    """The dual of ``(g, c, lam)`` evaluated once at ``phi``, and ``phi`` flat."""
     lam = _resolve_lam(g, lam)
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    dual = _Dual(g, np.asarray(c, dtype=float).reshape(g.n, g.d), lam)
+    phi = _shaped(g, phi, "phi", g.n).reshape(-1)
+    dual = _Dual(g, _shaped(g, c, "c", g.n), lam)
     with np.errstate(divide="ignore"):
         dual.evaluate(phi)
-    return dual
+    return dual, phi
 
 
 def dual_objective(g: ConnectionGraph, phi, c, lam):
     """Value of the regularized dual at ``phi``."""
-    return _evaluated(g, phi, c, lam).value(np.asarray(phi, dtype=float))
+    dual, phi = _evaluated(g, phi, c, lam)
+    return dual.value(phi)
 
 
 def recover_primal(g: ConnectionGraph, phi, lam):
     """Closed-form flow from a dual variable; exactly zero on inactive edges."""
-    return np.ascontiguousarray(_evaluated(g, phi, np.zeros(g.n * g.d), lam).flow.T)
+    dual, _ = _evaluated(g, phi, np.zeros(g.n * g.d), lam)
+    return np.ascontiguousarray(dual.flow.T)
 
 
 def dual_gradient(g: ConnectionGraph, phi, c, lam):
     """Gradient of the dual: the constraint residual ``c - B J(phi)``."""
-    return _evaluated(g, phi, c, lam).grad.reshape(g.n, g.d)
+    dual, _ = _evaluated(g, phi, c, lam)
+    return dual.grad.reshape(g.n, g.d)
 
 
 def primal_cost(g: ConnectionGraph, flow, lam):
     """Regularized primal objective of a flow."""
     lam = _resolve_lam(g, lam)
-    flow = np.asarray(flow, dtype=float).reshape(g.m, g.d)
-    norms = _edge_norms(flow)
+    norms = _edge_norms(_shaped(g, flow, "flow", g.m))
     return float(g.weights @ norms + 0.5 * lam * (norms @ norms))
 
 
 def unregularized_cost(g: ConnectionGraph, flow):
     """Plain Beckmann objective ``sum_e w(e) |J(e)|`` of a flow."""
-    flow = np.asarray(flow, dtype=float).reshape(g.m, g.d)
-    return float(g.weights @ _edge_norms(flow))
+    return float(g.weights @ _edge_norms(_shaped(g, flow, "flow", g.m)))
 
 
 #: Fraction of the monotone-ascent step bound that :func:`stable_learning_rate` returns.
@@ -345,8 +340,9 @@ def stable_learning_rate(g: ConnectionGraph, lam=None):
     The dual Hessian is bounded by ``lambda_max(B B^T) / lam`` and
     ``lambda_max(B B^T) <= 2 * max_degree``, so
     ``STEP_SAFETY * lam / (2 * max_degree)`` keeps the fixed step inside
-    the monotone regime.
+    the monotone regime.  An invalid graph raises :class:`InvalidGraphError`.
     """
+    g.require_valid()
     lam = _resolve_lam(g, lam)
     return STEP_SAFETY * lam / (2.0 * max(g.max_degree, 1))
 
@@ -366,7 +362,8 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
         opts = SolveOptions()
     g.require_valid()
     lam = _resolve_lam(g, opts.lam)
-    c = _difference(g, alpha, beta)
+    alpha, beta = _shaped(g, alpha, "alpha", g.n), _shaped(g, beta, "beta", g.n)
+    c = alpha - beta
     require_feasible(g, alpha, beta)
 
     c_vec = c.reshape(-1)
@@ -421,17 +418,21 @@ def solve_regularized(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None
     return flow, phi.reshape(g.n, g.d), report
 
 
-def dual_feasible_unregularized(g: ConnectionGraph, phi, tol=1e-12):
-    """Whether ``phi`` is feasible for the unregularized dual: ``|B^T phi| <= w``."""
+#: Relative and absolute slack of :func:`dual_feasible_unregularized`'s test.
+DUAL_FEASIBILITY_TOL = 1e-12
+
+
+def dual_feasible_unregularized(g: ConnectionGraph, phi):
+    """Whether ``phi`` is feasible for the unregularized dual: ``|B^T phi| <= w``,
+    within ``DUAL_FEASIBILITY_TOL``."""
+    tol = DUAL_FEASIBILITY_TOL
     gvals = apply_BT(g, phi)
     return bool(np.all(_edge_norms(gvals) <= g.weights * (1.0 + tol) + tol))
 
 
 def unregularized_dual_value(phi, c):
     """Value ``<phi, c>`` of the unregularized (Kantorovich-type) dual."""
-    phi = np.asarray(phi, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return float(np.vdot(phi.reshape(-1), c.reshape(-1)))
+    return float(np.vdot(np.asarray(phi, dtype=float), np.asarray(c, dtype=float)))
 
 
 def wasserstein(g: ConnectionGraph, alpha, beta, opts: SolveOptions | None = None):
@@ -458,7 +459,7 @@ def wasserstein_lp(g: ConnectionGraph, alpha, beta):
     g.require_valid()
     if g.d != 1:
         raise InvalidGraphError("the LP reference handles d = 1 only")
-    c_vec = _difference(g, alpha, beta).reshape(-1)
+    c_vec = (_shaped(g, alpha, "alpha", g.n) - _shaped(g, beta, "beta", g.n)).reshape(-1)
     bmat = g.incidence_matrix.toarray()
     cost = np.concatenate([g.weights, g.weights])
     a_eq = np.hstack([bmat, -bmat])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FeasibilityError, InvalidGraphError, NonConvergenceError
 from .feasibility import _finite
-from .graph import ConnectionGraph, _bfs, apply_B
+from .graph import ConnectionGraph, _bfs, _shaped, apply_B
 from .solver import SolveOptions, _resolve_lam, solve_regularized
 
 __all__ = [
@@ -97,11 +97,14 @@ def interpolate_trajectory(g: ConnectionGraph, alpha, flow, rings: RingPartition
 
     Returns ``steps + 1`` fields; the first is ``alpha`` exactly (``B 0`` is
     all ``+0.0``) and, once every active edge is inside the disk, the
-    trajectory sits at ``alpha - B J``.
+    trajectory sits at ``alpha - B J``.  A negative ``steps`` raises
+    :class:`InvalidGraphError`.
     """
     g.require_valid()
-    alpha = np.asarray(alpha, dtype=float).reshape(g.n, g.d)
-    flow = np.asarray(flow, dtype=float).reshape(g.m, g.d)
+    alpha = _shaped(g, alpha, "alpha", g.n)
+    flow = _shaped(g, flow, "flow", g.m)
+    if steps < 0:
+        raise InvalidGraphError(f"steps must be at least 0, got {steps}")
     return [
         alpha - apply_B(g, np.where(rings.disk(k)[:, None], flow, 0.0))
         for k in range(steps + 1)
@@ -166,7 +169,7 @@ def distance_matrix(
         opts = SolveOptions()
     g.require_valid()
     _resolve_lam(g, opts.lam)
-    fields = [_finite(g, f, f"field {k}").reshape(g.n, g.d) for k, f in enumerate(fields)]
+    fields = [_finite(g, f, f"field {k}") for k, f in enumerate(fields)]
     k = len(fields)
     dist = np.zeros((k, k))
     conv = np.ones((k, k), dtype=bool)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from conbeck.errors import FeasibilityError, InvalidGraphError
-from conbeck.graph import ConnectionGraph, bfs_tree
-from conbeck.solver import _difference, _resolve_lam
+from conbeck.graph import ConnectionGraph, _shaped, bfs_tree
+from conbeck.solver import _resolve_lam
 
 
 def random_orthogonal(d, rng):
@@ -159,7 +159,7 @@ def oracle_solve(g: ConnectionGraph, alpha, beta, lam=None, eps=1e-9, max_iter=2
     """
     g.require_valid()
     lam = _resolve_lam(g, lam)
-    c_vec = _difference(g, alpha, beta).reshape(-1)
+    c_vec = (_shaped(g, alpha, "alpha", g.n) - _shaped(g, beta, "beta", g.n)).reshape(-1)
     bmat = g.incidence_matrix.toarray()
     m, d = g.m, g.d
 

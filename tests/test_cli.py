@@ -502,6 +502,48 @@ def test_interp_flow_shape_mismatch_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+_INTERP = ["interp", "{graph}", "{alpha}", "{flow}", "--steps", "2", "-o", "{out}"]
+
+#: Each command with one mis-shaped input: its arguments and that input.
+#: ``extra`` is a third field in the fields directory.
+MISSHAPED_INPUT_COMMANDS = {
+    "feasible": (["feasible", "{graph}", "{alpha}", "{beta}"], "beta"),
+    "solve": (["solve", "{graph}", "{alpha}", "{beta}", "--lambda", "1", "-o", "{out}"], "alpha"),
+    "distmat": (["distmat", "{graph}", "{fields}", "--lambda", "1", "-o", "{out}"], "extra"),
+    "interp-alpha": (_INTERP, "alpha"),
+    "interp-flow": (_INTERP, "flow"),
+}
+
+
+@pytest.mark.parametrize("transposed", [True, False], ids=["transposed", "one-row-more"])
+@pytest.mark.parametrize("command", sorted(MISSHAPED_INPUT_COMMANDS))
+def test_misshaped_input_exits_2_naming_the_file(tmp_path, capsys, command, transposed):
+    # on the 4-vertex path with d = 2 a field is (4, 2) and a flow (3, 2)
+    args, bad = MISSHAPED_INPUT_COMMANDS[command]
+    g = make_path_graph(4, 2)
+    arrays = {
+        "alpha": pseudo_dirac(4, 2, 0, 0),
+        "beta": pseudo_dirac(4, 2, 3, 0),
+        "extra": pseudo_dirac(4, 2, 1, 1),
+        "flow": np.zeros((g.m, 2)),
+    }
+    good = arrays[bad]
+    arrays[bad] = good.T if transposed else np.vstack([good, good[:1]])
+    paths = {name: tmp_path / "fields" / f"{name}.json" for name in ("alpha", "beta", "extra")}
+    paths.update(graph=tmp_path / "g.json", flow=tmp_path / "flow.json", out=tmp_path / "o.json")
+    paths["fields"] = tmp_path / "fields"
+    paths["fields"].mkdir()
+    io.save_graph(paths["graph"], g)
+    for name in ("alpha", "beta", "extra"):
+        io.save_field(paths[name], arrays[name])
+    io.save_flow(paths["flow"], arrays["flow"])
+    inputs = sorted(tmp_path.rglob("*"))
+    assert main([a.format(**paths) for a in args]) == 2
+    message = f"{paths[bad]} has shape {arrays[bad].shape}; expected {good.shape}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == inputs
+
+
 # ------------------------------------------------------------------- distmat
 
 

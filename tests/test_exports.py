@@ -86,6 +86,7 @@ ORACLES = {
 FIXED_PARAMETERS = {
     ("manifold", "tangent_frames"): ["kernel_scale"],
     ("manifold", "sample_torus"): ["major_radius", "minor_radius"],
+    ("solver", "dual_feasible_unregularized"): ["tol"],
     ("toolkit", "nodal_support"): ["threshold"],
 }
 

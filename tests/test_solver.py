@@ -290,6 +290,13 @@ def test_solve_nonconvergence_flagged(diamond_problem):
     assert report.residual > 0
 
 
+@pytest.mark.parametrize("endpoint", [-1, 3], ids=["negative", "past-n"])
+def test_stable_learning_rate_refuses_an_invalid_graph(endpoint):
+    g = ConnectionGraph(3, 1, [(0, 1), (1, endpoint)], [1.0, 1.0], np.ones((2, 1, 1)))
+    with pytest.raises(InvalidGraphError, match="out of range"):
+        stable_learning_rate(g, 1.0)
+
+
 def test_solve_divergence_raises_with_stable_step(diamond_problem):
     g, alpha, beta, _ = diamond_problem
     stable = stable_learning_rate(g, 1.0)
