@@ -5,12 +5,15 @@ the difference alpha - beta is orthogonal to ker(L) = ker(B^T).  On a
 connected graph ker(L) is the space of parallel sections: the fixed space
 of the fundamental cycle products, expanded along spanning-tree paths.
 That structured route is the one :attr:`ConnectionGraph.kernel` uses when
-the connection is flat within the tolerance; otherwise the kernel is the
-bottom of the near-kernel modes that :func:`project_feasible` removes.
-Those modes come from one sparse shift-invert eigensolve of L per graph,
-cached as ``g.near_kernel_modes``, so the kernel is the same whichever of
-the two runs first.  The numeric route, a dense eigensolve of L, is kept
-as an independent reference.
+the connection is flat within the tolerance.  On a curved connection the
+same spanning tree often proves that L has no eigenvalue under the kernel
+threshold (a holonomy defect far from singular on one chord, every vertex
+close to the root), and the kernel is empty without an operator or SciPy.
+Otherwise the kernel is the bottom of the near-kernel modes that
+:func:`project_feasible` removes.  Those modes come from one sparse
+shift-invert eigensolve of L per graph, cached as ``g.near_kernel_modes``,
+so the kernel is the same whichever of the two runs first.  The numeric
+route, a dense eigensolve of L, is kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ class KernelBasis:
     ``vectors`` has shape (k, n, d) with 0 <= k <= d for connected graphs;
     ``tol`` is the absolute threshold that was applied: the zero-eigenvalue
     threshold, or, for the parallel sections of :func:`kernel_structured`,
-    their residual tolerance.
+    their residual tolerance, or, for an empty kernel that the spanning tree
+    proves, the ``theta`` that L's spectrum lies above.
     """
 
     vectors: np.ndarray
@@ -52,8 +56,16 @@ class KernelBasis:
         return self.vectors.shape[0]
 
     def inner_products(self, field):
-        """Inner products of a field against each basis vector, shape (k,)."""
-        return np.einsum("knd,nd->k", self.vectors, np.asarray(field, dtype=float))
+        """Inner products of a field against each basis vector, shape (k,).
+
+        ``field`` has shape (n, d) or the flat (n d,) for the basis's own n
+        and d; any other shape raises :class:`InvalidGraphError`.
+        """
+        _, n, d = self.vectors.shape
+        values = np.asarray(field, dtype=float)
+        if values.shape not in ((n, d), (n * d,)):
+            raise InvalidGraphError(f"field has shape {values.shape}; expected {(n, d)}")
+        return np.einsum("knd,nd->k", self.vectors, values.reshape(n, d))
 
 
 #: Eigenvalues of L at or below this fraction of ``max(lambda_max, 1)`` count
@@ -100,38 +112,79 @@ def kernel_structured(g: ConnectionGraph):
     ``(h_e - I) / sqrt(n)``, and no B is formed.  When it is at most
     ``KERNEL_TOL`` and :func:`_at_most_d_kernel_modes` rules out any other
     mode at or below ``KERNEL_TOL * max(lambda_max, 1)``, the fields are
-    the basis: O(m d^2) time and memory.  Otherwise the basis is
-    the near-kernel modes of ``g.near_kernel_modes``, the one sparse solve
-    :func:`project_feasible` also reads, with eigenvalue at or below that
-    threshold; this is the count rule of :func:`kernel_numeric`, with no
-    dense L above the smallest graphs, and the same basis in any call order.
-    :attr:`ConnectionGraph.kernel` caches the result.
+    the basis: O(m d^2) time and memory.  Otherwise, when
+    :func:`_no_kernel_mode` proves from the same tree that L has no
+    eigenvalue at or below ``theta = KERNEL_TOL * max(2 max_i deg_i, 1)``,
+    which is at least the dense rule's threshold, the basis is empty and its
+    ``tol`` is ``theta``: O(m d^3), with no operator and no SciPy.  On the
+    graphs neither test decides, the basis is the near-kernel modes of
+    ``g.near_kernel_modes``, the one sparse solve :func:`project_feasible`
+    also reads, with eigenvalue at or below that threshold; this is the
+    count rule of :func:`kernel_numeric`, with no dense L above the smallest
+    graphs, and the same basis in any call order.  :attr:`ConnectionGraph.kernel`
+    caches the result.
     """
     d = g.d
     _, _, depth, chord, t, defects = g._tree
     defects = defects.reshape(-1, d) / np.sqrt(g.n)
     flat = not chord.any() or np.linalg.norm(defects, 2) <= KERNEL_TOL
-    if flat and _at_most_d_kernel_modes(g, depth.max()):
+    theta, reach = _tree_reach(g, depth)
+    if flat and _at_most_d_kernel_modes(g, reach):
         return KernelBasis(np.moveaxis(t, 2, 0) / np.sqrt(g.n), KERNEL_TOL)
+    if _no_kernel_mode(g, theta, reach):
+        return KernelBasis(np.zeros((0, g.n, d)), theta)
     modes, vals, scale = g.near_kernel_modes
     threshold = KERNEL_TOL * scale
     return KernelBasis(modes[:, vals <= threshold].T.reshape(-1, g.n, d), threshold)
 
 
-def _at_most_d_kernel_modes(g: ConnectionGraph, depth):
-    """Whether L provably has at most d eigenvalues at or below ``KERNEL_TOL * max(lambda_max, 1)``.
+def _tree_reach(g: ConnectionGraph, depth):
+    """``theta = KERNEL_TOL * max(2 max_i deg_i, 1)`` and, per vertex, the
+    reach ``delta_u = sqrt(depth_u theta / w_min)`` of the BFS tree.
 
-    Switched to the frame of a BFS tree of depth D, a unit field f with
-    ``f^T L f <= theta`` keeps every f(i) within ``sqrt(D theta / w_min)``
-    of f(root), by Cauchy-Schwarz along tree paths of at most D edges.
-    When that is below ``1 / sqrt(n)``, f(root) is nonzero for every such
-    field, so the eigenvectors under ``theta`` span at most d dimensions.
-    ``theta`` is bounded through ``lambda_max <= 2 max_i deg_i``.  The test
-    fails when ``w_min <= n D theta``, where a weak edge can carry a
-    non-kernel mode under the threshold.
+    ``theta`` bounds the dense rule's threshold through ``lambda_max <= 2
+    max_i deg_i``.  Switched to the tree's frame, a field f with ``f^T L f
+    <= theta`` keeps each f(u) within ``delta_u`` of f(root): the tree path
+    has ``depth_u`` edges, each of weight at least ``w_min``, so
+    Cauchy-Schwarz bounds the sum of the steps.
     """
     theta = KERNEL_TOL * max(2.0 * g.weighted_degrees.max(), 1.0)
-    return depth == 0 or g.n * depth * theta < g.weights.min()
+    return theta, np.sqrt(depth * theta / g.weights.min(initial=np.inf))
+
+
+def _at_most_d_kernel_modes(g: ConnectionGraph, reach):
+    """Whether L provably has at most d eigenvalues at or below ``KERNEL_TOL * max(lambda_max, 1)``.
+
+    A unit field f has some ``|f(u)| >= 1 / sqrt(n)``.  When every reach of
+    :func:`_tree_reach` is below ``1 / sqrt(n)``, f(root) is nonzero for
+    every f with ``f^T L f <= theta``, so the eigenvectors under ``theta``
+    span at most d dimensions.  The test fails when ``w_min <= n D theta``
+    (D the tree depth), where a weak edge can carry a non-kernel mode under
+    the threshold.
+    """
+    return np.sqrt(g.n) * reach.max() < 1.0
+
+
+def _no_kernel_mode(g: ConnectionGraph, theta, reach):
+    """Whether L provably has no eigenvalue at or below ``theta`` (see :func:`_tree_reach`).
+
+    A unit field f with ``f^T L f <= theta`` has, in the tree's frame, a
+    root value r of norm at least ``rho = 1 / sqrt(n) - max_u delta_u``, and
+    each f(u) within ``delta_u`` of r.  A chord ``e = (i, j)`` then costs
+    ``w_e |f(i) - h_e f(j)|^2 >= w_e (s_e rho - delta_i - delta_j)^2``, with
+    ``s_e`` the least singular value of the holonomy defect ``h_e - I``.
+    If one chord's bound exceeds ``2 theta`` no such f exists; the factor 2
+    covers rounding and the orthogonality slack of sigma.  The test fails on
+    large or near-flat graphs, on a weak edge (small ``w_min``), and where
+    every holonomy fixes a vector, as each rotation of R^3 fixes its axis.
+    """
+    _, _, _, chord, _, defects = g._tree
+    rho = 1.0 / np.sqrt(g.n) - reach.max()
+    if rho <= 0.0 or not chord.any():
+        return False
+    i, j = g.edge_index[chord].T
+    gap = np.linalg.svd(defects, compute_uv=False)[:, -1] * rho - reach[i] - reach[j]
+    return bool((g.weights[chord] * np.maximum(gap, 0.0) ** 2).max() > 2.0 * theta)
 
 
 def _finite(g: ConnectionGraph, field, name):

@@ -383,8 +383,9 @@ class ConnectionGraph:
         """Kernel basis of ``L`` at the default tolerance, computed once.
 
         The parallel sections along the BFS tree when the connection is
-        flat within the tolerance, O(m d^2), else the modes of
-        :attr:`near_kernel_modes` under the dense rule's threshold; see
+        flat within the tolerance, O(m d^2); an empty basis when the same
+        tree proves L has no eigenvalue under the threshold; else the modes
+        of :attr:`near_kernel_modes` under the dense rule's threshold; see
         :func:`conbeck.feasibility.kernel_structured`.  Feasibility tests,
         solves and distance matrices on this graph all share this basis.
         """

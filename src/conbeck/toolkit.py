@@ -51,10 +51,23 @@ def pseudo_dirac(n, d, node, channel):
 SUPPORT_TOL = 1e-9
 
 
+def _two_dimensional(array, name, rows):
+    """``array`` as a float array, which must be 2-D, ``(rows, d)``: the
+    functions that call this take no graph, so a flat array cannot be
+    shaped.  Any other array raises :class:`InvalidGraphError` naming
+    ``name`` and its shape."""
+    values = np.asarray(array, dtype=float)
+    if values.ndim != 2:
+        raise InvalidGraphError(
+            f"{name} has shape {values.shape}; expected a 2-D ({rows}, d) array"
+        )
+    return values
+
+
 def nodal_support(field):
-    """Vertices where the field's per-vertex norm exceeds ``SUPPORT_TOL``."""
-    field = np.asarray(field, dtype=float)
-    norms = np.linalg.norm(field, axis=1)
+    """Vertices where the field's per-vertex norm exceeds ``SUPPORT_TOL``.
+    ``field`` must be 2-D, (n, d)."""
+    norms = np.linalg.norm(_two_dimensional(field, "field", "n"), axis=1)
     return np.flatnonzero(norms > SUPPORT_TOL)
 
 
@@ -112,9 +125,9 @@ def interpolate_trajectory(g: ConnectionGraph, alpha, flow, rings: RingPartition
 
 
 def active_edges(flow, delta=0.0):
-    """Indices of edges whose flow norm strictly exceeds ``delta``."""
-    flow = np.asarray(flow, dtype=float)
-    return np.flatnonzero(np.linalg.norm(flow, axis=1) > delta)
+    """Indices of edges whose flow norm strictly exceeds ``delta``.
+    ``flow`` must be 2-D, (m, d)."""
+    return np.flatnonzero(np.linalg.norm(_two_dimensional(flow, "flow", "m"), axis=1) > delta)
 
 
 def _solve_pair(g, fields, opts, a, b):

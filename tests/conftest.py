@@ -196,3 +196,14 @@ def near_flat_sphere_patch(rng, noise, n_lat=6, n_lon=12, eps=0.3):
     c, s = np.cos(theta), np.sin(theta)
     turn = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     return ConnectionGraph(g.n, 2, g.edge_index, g.weights, g.sigmas @ turn), tau
+
+
+def twisted_ring(n=200, angle=0.5):
+    """Ring of n vertices, d = 3, identity on every edge but the closing
+    one, which rotates by ``angle`` about the third axis: that axis is the
+    kernel, and the twist leaves many modes under NEAR_KERNEL_RATIO."""
+    c, s = np.cos(angle), np.sin(angle)
+    sigmas = np.repeat(np.eye(3)[None], n, axis=0)
+    sigmas[-1] = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    edges = np.array([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    return ConnectionGraph(n, 3, edges, np.ones(n), sigmas)

@@ -27,6 +27,7 @@ from conftest import (
     flat_sphere_patch,
     make_path_graph,
     near_flat_sphere_patch,
+    twisted_ring,
 )
 
 
@@ -1062,11 +1063,28 @@ def test_solve_on_a_flat_connection_loads_only_the_sparse_operators(tmp_path):
     assert not unused & set(modules)
 
 
-def test_check_on_a_curved_connection_loads_only_the_operators_and_eigensolver(tmp_path):
-    gp = tmp_path / "curved.json"
-    io.save_graph(gp, curved_sphere_patch())
+def test_check_and_feasible_on_a_curved_patch_load_no_scipy(tmp_path):
+    # the spanning-tree bound proves the kernel empty: no operator, no eigensolver
+    rng = np.random.default_rng(42)
+    curved = curved_sphere_patch()
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("g", "a", "b")}
+    io.save_graph(paths["g"], curved)
+    io.save_field(paths["a"], rng.standard_normal((curved.n, 2)))
+    io.save_field(paths["b"], rng.standard_normal((curved.n, 2)))
+    out, codes, modules = _run_commands([
+        ["check", paths["g"]], ["feasible", paths["g"], paths["a"], paths["b"]]
+    ])
+    assert codes == [0, 0]
+    assert "kernel dimension: 0" in out
+    assert modules == []
+
+
+def test_check_on_a_twisted_ring_still_runs_the_eigensolver(tmp_path):
+    # its rotation fixes an axis, so the tree bound cannot decide the kernel
+    gp = tmp_path / "ring.json"
+    io.save_graph(gp, twisted_ring())
     out, codes, modules = _run_commands([["check", str(gp)]])
     assert codes == [0]
-    assert "kernel dimension: 0" in out
+    assert "kernel dimension: 1" in out
     assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(modules)
     assert not {"scipy.optimize", "scipy.spatial"} & set(modules)

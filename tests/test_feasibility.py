@@ -15,10 +15,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conbeck import feasibility, graph
 from conbeck.errors import FeasibilityError, InvalidGraphError
 from conbeck.feasibility import (
+    KERNEL_TOL,
     NEAR_KERNEL_RATIO,
     feasibility_switching,
     is_feasible,
@@ -51,6 +54,7 @@ from conftest import (
     near_flat_sphere_patch,
     random_connected_graph,
     random_density,
+    twisted_ring,
 )
 from oracles import random_orthogonal
 
@@ -185,23 +189,65 @@ def test_kernel_is_cached_on_the_graph(sign_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _twisted_ring(n=200, angle=0.5):
-    """Ring of n vertices, d = 3, identity on every edge but the closing
-    one, which rotates by ``angle`` about the third axis: that axis is the
-    kernel, and the twist leaves many modes under NEAR_KERNEL_RATIO."""
-    c, s = np.cos(angle), np.sin(angle)
-    sigmas = np.repeat(np.eye(3)[None], n, axis=0)
-    sigmas[-1] = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
-    edges = np.array([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-    return ConnectionGraph(n, 3, edges, np.ones(n), sigmas)
-
-
 def test_kernel_same_whether_or_not_the_projection_ran_first():
-    fresh, projected = _twisted_ring(), _twisted_ring()
+    fresh, projected = twisted_ring(), twisted_ring()
     project_feasible(projected, np.zeros((projected.n, 3)))
     assert projected.near_kernel_modes[0].shape[1] > 2 * projected.d + 2
     assert fresh.kernel.dimension == 1
     assert np.array_equal(fresh.kernel.vectors, projected.kernel.vectors)
+
+
+def _tree_bound_decides(g):
+    """Whether ``g.kernel`` came from the spanning-tree bound: an empty basis
+    found without the near-kernel modes (the parallel sections have d >= 1)."""
+    return g.kernel.dimension == 0 and "near_kernel_modes" not in vars(g)
+
+
+def _bound_test_graph(seed, n, d, chords, kind):
+    """A random connected graph: ``curved`` has Haar-random sigmas,
+    ``near-flat`` a flat connection turned by rotations within about 1e-6 of
+    the identity, ``pendant`` a curved one with an extra vertex on a 1e-12 edge."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, d, chords, consistent=True if kind == "near-flat" else None)
+    if kind == "near-flat":
+        q, r = np.linalg.qr(np.eye(d) + 1e-6 * rng.standard_normal((g.m, d, d)))
+        turns = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        return ConnectionGraph(g.n, d, g.edge_index, g.weights, g.sigmas @ turns)
+    if kind == "pendant":
+        edges = np.vstack([g.edge_index, [[0, g.n]]])
+        sigmas = np.vstack([g.sigmas, [random_orthogonal(d, rng)]])
+        return ConnectionGraph(g.n + 1, d, edges, np.append(g.weights, 1e-12), sigmas)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 16),
+    d=st.integers(1, 3),
+    chords=st.integers(1, 8),
+    kind=st.sampled_from(["curved", "near-flat", "pendant"]),
+)
+def test_tree_bound_only_empties_a_kernel_it_proves_empty(seed, n, d, chords, kind):
+    g = _bound_test_graph(seed, n, d, chords, kind)
+    projected = _bound_test_graph(seed, n, d, chords, kind)
+    project_feasible(projected, np.zeros((projected.n, d)))
+    if _tree_bound_decides(g):
+        assert kind == "curved"
+        theta = KERNEL_TOL * max(2.0 * g.weighted_degrees.max(), 1.0)
+        assert g.kernel.tol == theta
+        assert np.linalg.eigvalsh(g.laplacian_matrix.toarray()).min() > theta
+        assert kernel_numeric(g).dimension == 0
+    assert np.array_equal(g.kernel.vectors, projected.kernel.vectors)
+
+
+def test_tree_bound_leaves_fixed_axes_and_near_flat_patches_to_the_eigensolver():
+    rng = np.random.default_rng(43)
+    near_flat = [near_flat_sphere_patch(rng, noise)[0] for noise in (1e-9, 1e-7, 1e-5)]
+    cases = [twisted_ring()] + near_flat
+    assert not any(_tree_bound_decides(g) for g in cases)
+    assert [g.kernel.dimension for g in cases] == [1, 2, 2, 2]
+    assert _tree_bound_decides(curved_sphere_patch())
 
 
 def test_kernel_structured_memory_linear_in_chords():

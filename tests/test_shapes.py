@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conbeck.errors import InvalidGraphError
-from conbeck.feasibility import is_feasible, project_feasible
+from conbeck.feasibility import KernelBasis, is_feasible, project_feasible
 from conbeck.graph import apply_B, apply_BT
 from conbeck.solver import (
     SolveOptions,
@@ -30,6 +30,7 @@ from conbeck.solver import (
     wasserstein_lp,
 )
 from conbeck.toolkit import (
+    active_edges,
     distance_matrix,
     edge_rings,
     interpolate_trajectory,
@@ -195,3 +196,25 @@ def test_negative_steps_are_refused(problem):
     with pytest.raises(InvalidGraphError, match="^steps must be at least 0, got -2$"):
         interpolate_trajectory(g, arrays["alpha"], arrays["flow"], rings, -2)
     assert len(interpolate_trajectory(g, arrays["alpha"], arrays["flow"], rings, 0)) == 1
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 1), ()])
+def test_graphless_helpers_refuse_an_array_that_is_not_two_dimensional(shape):
+    # they take no graph, so a flat array cannot be shaped
+    bad = np.ones(shape)
+    for call, name, rows in ((nodal_support, "field", "n"), (active_edges, "flow", "m")):
+        expected = f"{name} has shape {shape}; expected a 2-D ({rows}, d) array"
+        with pytest.raises(InvalidGraphError, match=f"^{re.escape(expected)}$"):
+            call(bad)
+
+
+def test_kernel_inner_products_take_the_basis_shape_or_its_flat_form():
+    rng = np.random.default_rng(45)
+    basis = KernelBasis(rng.standard_normal((2, 4, 3)), 1e-8)
+    field = rng.standard_normal((4, 3))
+    ips = basis.inner_products(field)
+    assert ips.tobytes() == basis.inner_products(field.reshape(-1)).tobytes()
+    for bad in (field.T, field[:3], field.reshape(-1)[:-1], field[None]):
+        expected = f"field has shape {bad.shape}; expected (4, 3)"
+        with pytest.raises(InvalidGraphError, match=f"^{re.escape(expected)}$"):
+            basis.inner_products(bad)
