@@ -5,15 +5,18 @@ the difference alpha - beta is orthogonal to ker(L) = ker(B^T).  On a
 connected graph ker(L) is the space of parallel sections: the fixed space
 of the fundamental cycle products, expanded along spanning-tree paths.
 That structured route is the one :attr:`ConnectionGraph.kernel` uses when
-the connection is flat within the tolerance.  On a curved connection the
-same spanning tree often proves that L has no eigenvalue under the kernel
-threshold (a holonomy defect far from singular on one chord, every vertex
-close to the root), and the kernel is empty without an operator or SciPy.
+the connection is flat within the tolerance and every vertex is close to
+the root (one test, ``rho > 0``, computed once; see :func:`_tree_reach`).
+On a curved connection the same spanning tree and the same test often
+prove that L has no eigenvalue under the kernel threshold (a holonomy
+defect far from singular on one chord), and the kernel is empty without an
+operator or SciPy.
 Otherwise the kernel is the bottom of the near-kernel modes that
 :func:`project_feasible` removes.  Those modes come from one sparse
 shift-invert eigensolve of L per graph, cached as ``g.near_kernel_modes``,
 so the kernel is the same whichever of the two runs first.  The numeric
 route, a dense eigensolve of L, is kept as an independent reference.
+The tree products from any root are :func:`feasibility_switching`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, InvalidGraphError
-from .graph import ConnectionGraph, _shaped, tree_products
+from .graph import ConnectionGraph, _shaped, _spanning_tree
 
 __all__ = [
     "KernelBasis",
@@ -109,15 +112,17 @@ def kernel_structured(g: ConnectionGraph):
     sqrt(n)`` across a chord ``e = (i, j)`` with holonomy ``h_e = t[i]^T
     sigma_e t[j]``; as every ``t[i]`` is orthogonal, ``|B^T f|`` (the 2-norm
     of the (m d) x d residual) is the 2-norm of the stacked chord defects
-    ``(h_e - I) / sqrt(n)``, and no B is formed.  When it is at most
-    ``KERNEL_TOL`` and :func:`_at_most_d_kernel_modes` rules out any other
-    mode at or below ``KERNEL_TOL * max(lambda_max, 1)``, the fields are
-    the basis: O(m d^2) time and memory.  Otherwise, when
+    ``(h_e - I) / sqrt(n)``, and no B is formed.  Both tree bounds need the
+    one test ``rho = 1 / sqrt(n) - max_u delta_u > 0`` of :func:`_tree_reach`,
+    under which every field f with ``f^T L f <= theta = KERNEL_TOL * max(2
+    max_i deg_i, 1)``, at least the dense rule's threshold, has a nonzero
+    root value.  Then the eigenvectors under ``theta`` span at most d
+    dimensions, so when the residual is at most ``KERNEL_TOL`` the fields
+    are the basis: O(m d^2) time and memory.  Otherwise, when
     :func:`_no_kernel_mode` proves from the same tree that L has no
-    eigenvalue at or below ``theta = KERNEL_TOL * max(2 max_i deg_i, 1)``,
-    which is at least the dense rule's threshold, the basis is empty and its
-    ``tol`` is ``theta``: O(m d^3), with no operator and no SciPy.  On the
-    graphs neither test decides, the basis is the near-kernel modes of
+    eigenvalue at or below ``theta``, the basis is empty and its ``tol`` is
+    ``theta``: O(m d^3), with no operator and no SciPy.  On the graphs
+    neither test decides, the basis is the near-kernel modes of
     ``g.near_kernel_modes``, the one sparse solve :func:`project_feasible`
     also reads, with eigenvalue at or below that threshold; this is the
     count rule of :func:`kernel_numeric`, with no dense L above the smallest
@@ -129,9 +134,10 @@ def kernel_structured(g: ConnectionGraph):
     defects = defects.reshape(-1, d) / np.sqrt(g.n)
     flat = not chord.any() or np.linalg.norm(defects, 2) <= KERNEL_TOL
     theta, reach = _tree_reach(g, depth)
-    if flat and _at_most_d_kernel_modes(g, reach):
+    rho = 1.0 / np.sqrt(g.n) - reach.max()
+    if rho > 0.0 and flat:
         return KernelBasis(np.moveaxis(t, 2, 0) / np.sqrt(g.n), KERNEL_TOL)
-    if _no_kernel_mode(g, theta, reach):
+    if rho > 0.0 and _no_kernel_mode(g, theta, reach, rho):
         return KernelBasis(np.zeros((0, g.n, d)), theta)
     modes, vals, scale = g.near_kernel_modes
     threshold = KERNEL_TOL * scale
@@ -146,42 +152,31 @@ def _tree_reach(g: ConnectionGraph, depth):
     max_i deg_i``.  Switched to the tree's frame, a field f with ``f^T L f
     <= theta`` keeps each f(u) within ``delta_u`` of f(root): the tree path
     has ``depth_u`` edges, each of weight at least ``w_min``, so
-    Cauchy-Schwarz bounds the sum of the steps.
+    Cauchy-Schwarz bounds the sum of the steps.  A unit f has some ``|f(u)|
+    >= 1 / sqrt(n)``, so its root value has norm at least ``rho = 1 /
+    sqrt(n) - max_u delta_u``.  ``rho`` is not positive when ``w_min <= n D
+    theta`` (D the tree depth), where a weak edge can carry a non-kernel
+    mode under the threshold.
     """
     theta = KERNEL_TOL * max(2.0 * g.weighted_degrees.max(), 1.0)
     return theta, np.sqrt(depth * theta / g.weights.min(initial=np.inf))
 
 
-def _at_most_d_kernel_modes(g: ConnectionGraph, reach):
-    """Whether L provably has at most d eigenvalues at or below ``KERNEL_TOL * max(lambda_max, 1)``.
-
-    A unit field f has some ``|f(u)| >= 1 / sqrt(n)``.  When every reach of
-    :func:`_tree_reach` is below ``1 / sqrt(n)``, f(root) is nonzero for
-    every f with ``f^T L f <= theta``, so the eigenvectors under ``theta``
-    span at most d dimensions.  The test fails when ``w_min <= n D theta``
-    (D the tree depth), where a weak edge can carry a non-kernel mode under
-    the threshold.
-    """
-    return np.sqrt(g.n) * reach.max() < 1.0
-
-
-def _no_kernel_mode(g: ConnectionGraph, theta, reach):
-    """Whether L provably has no eigenvalue at or below ``theta`` (see :func:`_tree_reach`).
+def _no_kernel_mode(g: ConnectionGraph, theta, reach, rho):
+    """Whether L provably has no eigenvalue at or below ``theta``, given ``rho
+    > 0`` and a chord (see :func:`_tree_reach`).
 
     A unit field f with ``f^T L f <= theta`` has, in the tree's frame, a
-    root value r of norm at least ``rho = 1 / sqrt(n) - max_u delta_u``, and
-    each f(u) within ``delta_u`` of r.  A chord ``e = (i, j)`` then costs
-    ``w_e |f(i) - h_e f(j)|^2 >= w_e (s_e rho - delta_i - delta_j)^2``, with
-    ``s_e`` the least singular value of the holonomy defect ``h_e - I``.
-    If one chord's bound exceeds ``2 theta`` no such f exists; the factor 2
-    covers rounding and the orthogonality slack of sigma.  The test fails on
-    large or near-flat graphs, on a weak edge (small ``w_min``), and where
-    every holonomy fixes a vector, as each rotation of R^3 fixes its axis.
+    root value r of norm at least ``rho``, and each f(u) within ``delta_u``
+    of r.  A chord ``e = (i, j)`` then costs ``w_e |f(i) - h_e f(j)|^2 >=
+    w_e (s_e rho - delta_i - delta_j)^2``, with ``s_e`` the least singular
+    value of the holonomy defect ``h_e - I``.  If one chord's bound exceeds
+    ``2 theta`` no such f exists; the factor 2 covers rounding and the
+    orthogonality slack of sigma.  The test fails on large or near-flat
+    graphs, on a weak edge (small ``w_min``), and where every holonomy fixes
+    a vector, as each rotation of R^3 fixes its axis.
     """
     _, _, _, chord, _, defects = g._tree
-    rho = 1.0 / np.sqrt(g.n) - reach.max()
-    if rho <= 0.0 or not chord.any():
-        return False
     i, j = g.edge_index[chord].T
     gap = np.linalg.svd(defects, compute_uv=False)[:, -1] * rho - reach[i] - reach[j]
     return bool((g.weights[chord] * np.maximum(gap, 0.0) ** 2).max() > 2.0 * theta)
@@ -320,8 +315,11 @@ def project_feasible(g: ConnectionGraph, field):
 def feasibility_switching(g: ConnectionGraph, root=0):
     """Switching function tau(i) = sigma along the tree path from i to root.
 
-    On the switched graph every tree edge carries the identity, the kernel
-    consists of constant fields only, and any two vector densities (equal
-    channel sums) are mutually feasible.
+    ``tau[i]``, shape (n, d, d), is the product of connection matrices along
+    the BFS tree path from ``i`` down to ``root``, so a kernel vector with
+    root value ``x`` expands as ``f(i) = tau[i] @ x``.  On the switched
+    graph every tree edge carries the identity, the kernel consists of
+    constant fields only, and any two vector densities (equal channel sums)
+    are mutually feasible.
     """
-    return tree_products(g, root)
+    return _spanning_tree(g, root)[4]

@@ -32,8 +32,6 @@ __all__ = [
     "fundamental_cycles",
     "is_consistent",
     "switch",
-    "bfs_tree",
-    "tree_products",
     "polar_project",
 ]
 
@@ -166,6 +164,18 @@ def _index_oriented(edge_index, sigmas):
     return edge_index, sigmas
 
 
+def _stacked(array, dtype, name, block, rows=None):
+    """``array`` as a stack of ``block``-shaped entries, shape (rows, *block),
+    or (-1, *block) when ``rows`` is None.  An array whose size does not fit
+    raises :class:`InvalidGraphError` naming ``name`` and its shape."""
+    values = np.asarray(array, dtype=dtype)
+    size = int(np.prod(block))
+    if values.size % size if rows is None else values.size != rows * size:
+        expected = ", ".join(map(str, ("m" if rows is None else rows, *block)))
+        raise InvalidGraphError(f"{name} has shape {values.shape}; expected ({expected})")
+    return values.reshape(-1, *block)
+
+
 #: Attributes a pickled ConnectionGraph carries (see ``__getstate__``).
 _PICKLED_STATE = frozenset(("n", "d", "edge_index", "weights", "sigmas", "violations", "kernel"))
 
@@ -186,25 +196,27 @@ class ConnectionGraph:
     sigmas : (m, d, d) float array
         Orthogonal connection matrices, one per edge, oriented ``i -> j``.
 
-    Construction only coerces shapes; semantic invariants (orientation,
-    orthogonality, connectivity) are checked by :func:`validate_graph`
-    and enforced lazily by the operators via :meth:`require_valid`.
+    Construction checks n, d and the array sizes, raising
+    :class:`InvalidGraphError`, and coerces shapes; semantic invariants
+    (orientation, orthogonality, connectivity) are checked by
+    :func:`validate_graph` and enforced lazily by the operators via
+    :meth:`require_valid`.
     """
 
     def __init__(self, n, d, edge_index, weights, sigmas):
         self.n = int(n)
         self.d = int(d)
-        self.edge_index = np.asarray(edge_index, dtype=int).reshape(-1, 2)
+        if self.n < 1 or self.d < 1:
+            raise InvalidGraphError("need n >= 1 and d >= 1")
+        self.edge_index = _stacked(edge_index, int, "edge_index", (2,))
         self.weights = np.asarray(weights, dtype=float).reshape(-1)
-        self.sigmas = np.asarray(sigmas, dtype=float).reshape(-1, self.d, self.d)
+        self.sigmas = _stacked(sigmas, float, "sigmas", (self.d, self.d))
         m = self.edge_index.shape[0]
         if self.weights.shape[0] != m or self.sigmas.shape[0] != m:
             raise InvalidGraphError(
                 "edge_index, weights and sigmas disagree on the edge count "
                 f"({m}, {self.weights.shape[0]}, {self.sigmas.shape[0]})"
             )
-        if self.n < 1 or self.d < 1:
-            raise InvalidGraphError("need n >= 1 and d >= 1")
         for arr in (self.edge_index, self.weights, self.sigmas):
             arr.setflags(write=False)
 
@@ -227,15 +239,6 @@ class ConnectionGraph:
     @property
     def w_max(self):
         return float(self.weights.max()) if self.m else 0.0
-
-    def sigma_between(self, u, v):
-        """Connection matrix oriented ``u -> v``: that of the last edge stored as
-        ``(u, v)``, else the transpose of the last one stored as ``(v, u)``."""
-        hit = (self.edge_index[:, None] == [(u, v), (v, u)]).all(axis=2)
-        for way, sigma in enumerate((self.sigmas, np.swapaxes(self.sigmas, 1, 2))):
-            if hit[:, way].any():
-                return sigma[np.flatnonzero(hit[:, way])[-1]]
-        raise InvalidGraphError(f"no edge between {u} and {v}")
 
     # -- validation ---------------------------------------------------------
 
@@ -489,27 +492,6 @@ def _spanning_tree(g: ConnectionGraph, root):
     return order, parent, depth, ~(tail_up | head_up), t
 
 
-def bfs_tree(g: ConnectionGraph, root=0):
-    """Breadth-first spanning tree with deterministic neighbor order.
-
-    Neighbors are visited in increasing vertex index.  Returns
-    ``(order, parent)`` where ``order`` lists vertices in visit order and
-    ``parent[root] = -1``.
-    """
-    order, parent, *_ = _spanning_tree(g, root)
-    return order.tolist(), parent
-
-
-def tree_products(g: ConnectionGraph, root=0):
-    """Path products ``sigma_{P_{i,root}}`` along BFS tree paths, shape (n, d, d).
-
-    ``t[i]`` is the product of connection matrices along the tree path from
-    ``i`` down to the root, so a kernel vector with root value ``x`` expands
-    as ``f(i) = t[i] @ x``.
-    """
-    return _spanning_tree(g, root)[4]
-
-
 def fundamental_cycles(g: ConnectionGraph):
     """Fundamental cycles of the BFS spanning tree rooted at vertex 0.
 
@@ -544,11 +526,12 @@ def is_consistent(g: ConnectionGraph, tol=1e-8):
 def switch(g: ConnectionGraph, tau):
     """Apply a switching function: ``sigma'_ij = tau(i)^T sigma_ij tau(j)``.
 
-    ``tau`` has shape (n, d, d) with orthogonal blocks; topology and weights
-    are unchanged.  The switched graph has the same Laplacian spectrum.
+    ``tau`` has shape (n, d, d) with orthogonal blocks (a tau of another
+    size raises :class:`InvalidGraphError`); topology and weights are
+    unchanged.  The switched graph has the same Laplacian spectrum.
     """
     g.require_valid()
-    tau = np.asarray(tau, dtype=float).reshape(g.n, g.d, g.d)
+    tau = _stacked(tau, float, "tau", (g.d, g.d), rows=g.n)
     defect, fixed = _snap(tau, lo=-np.inf)
     bad = np.flatnonzero(defect > ORTHOGONALITY_TOL)
     if bad.size:

@@ -1,7 +1,8 @@
-"""Test oracles: a random orthogonal matrix, the tree products as a
-vertex-by-vertex chain, the dense ordinary Laplacian of the skeleton, path
-products as a loop over :meth:`sigma_between`, tangent frames one vertex at
-a time, epsilon pairs and nearest nodes by brute force, the document dicts
+"""Test oracles: a random orthogonal matrix, the BFS tree's visit order
+and parents, the connection matrix between two vertices, the tree products
+as a vertex-by-vertex chain, the dense ordinary Laplacian of the skeleton,
+path products as a loop over :func:`sigma_between`, tangent frames one
+vertex at a time, epsilon pairs and nearest nodes by brute force, the document dicts
 whose ``json.dump(..., indent=2)`` text the :mod:`conbeck.io` table writers
 must reproduce, and an independent dense primal-route solve of the
 regularized problem.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from conbeck.errors import FeasibilityError, InvalidGraphError
-from conbeck.graph import ConnectionGraph, _shaped, bfs_tree
+from conbeck.graph import ConnectionGraph, _shaped, _spanning_tree
 from conbeck.solver import _resolve_lam
 
 
@@ -26,14 +27,35 @@ def random_orthogonal(d, rng):
     return q * np.sign(np.diag(r))
 
 
+def bfs_tree(g: ConnectionGraph, root=0):
+    """Breadth-first spanning tree with deterministic neighbor order.
+
+    Neighbors are visited in increasing vertex index.  Returns
+    ``(order, parent)`` where ``order`` lists vertices in visit order and
+    ``parent[root] = -1``.
+    """
+    order, parent, *_ = _spanning_tree(g, root)
+    return order.tolist(), parent
+
+
+def sigma_between(g: ConnectionGraph, u, v):
+    """Connection matrix oriented ``u -> v``: that of the last edge stored as
+    ``(u, v)``, else the transpose of the last one stored as ``(v, u)``."""
+    hit = (g.edge_index[:, None] == [(u, v), (v, u)]).all(axis=2)
+    for way, sigma in enumerate((g.sigmas, np.swapaxes(g.sigmas, 1, 2))):
+        if hit[:, way].any():
+            return sigma[np.flatnonzero(hit[:, way])[-1]]
+    raise InvalidGraphError(f"no edge between {u} and {v}")
+
+
 def sequential_tree_products(g: ConnectionGraph, root):
     """Tree products along the BFS tree from ``root``, one vertex at a time
-    in visit order, each from its parent's through :meth:`sigma_between`."""
+    in visit order, each from its parent's through :func:`sigma_between`."""
     order, parent = bfs_tree(g, root)
     t = np.zeros((g.n, g.d, g.d))
     t[order[0]] = np.eye(g.d)
     for u in order[1:]:
-        t[u] = g.sigma_between(u, parent[u]) @ t[parent[u]]
+        t[u] = sigma_between(g, u, parent[u]) @ t[parent[u]]
     return t
 
 
@@ -61,7 +83,7 @@ def path_product(g: ConnectionGraph, path):
         raise InvalidGraphError("empty path")
     out = np.eye(g.d)
     for u, v in zip(path[:-1], path[1:]):
-        out = out @ g.sigma_between(u, v)
+        out = out @ sigma_between(g, u, v)
     return out
 
 

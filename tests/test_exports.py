@@ -78,7 +78,7 @@ def test_package_keeps_every_name():
 #: Test oracles that live in ``tests/oracles.py``, by the module that once
 #: shipped them.
 ORACLES = {
-    "graph": ["combinatorial_laplacian", "path_product"],
+    "graph": ["bfs_tree", "combinatorial_laplacian", "path_product"],
     "io": ["field_to_dict", "flow_to_dict", "frames_to_dict", "tau_to_dict", "trajectory_to_dict"],
 }
 
@@ -102,3 +102,12 @@ def test_oracles_and_fixed_parameters_are_not_shipped():
 
     assert manifold.TORUS_RADII == (5.0, 1.0)
     assert toolkit.SUPPORT_TOL == 1e-9
+
+
+def test_the_spanning_tree_has_one_surface():
+    # feasibility_switching is the one name for the tree products, and
+    # sigma_between is an oracle in tests/oracles.py
+    from conbeck import graph
+
+    assert not hasattr(graph, "tree_products")
+    assert not hasattr(graph.ConnectionGraph, "sigma_between")

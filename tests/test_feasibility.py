@@ -56,7 +56,7 @@ from conftest import (
     random_density,
     twisted_ring,
 )
-from oracles import random_orthogonal
+from oracles import bfs_tree, random_orthogonal
 
 
 # ------------------------------------------------------------------ kernels
@@ -534,8 +534,6 @@ def test_feasibility_switching_tree_edges_trivial():
     rng = np.random.default_rng(32)
     g = random_connected_graph(rng, n=9, d=2, extra_edges=3)
     switched = switch(g, feasibility_switching(g, root=0))
-    from conbeck.graph import bfs_tree
-
     _, parent = bfs_tree(g, 0)
     for e, (i, j) in enumerate(g.edge_index):
         if parent[i] == j or parent[j] == i:

@@ -22,15 +22,14 @@ from conbeck.graph import (
     _component_of_zero,
     apply_B,
     apply_BT,
-    bfs_tree,
     connection_laplacian,
     fundamental_cycles,
     incidence,
     is_consistent,
     switch,
-    tree_products,
     validate_graph,
 )
+from conbeck.feasibility import feasibility_switching
 from conbeck.toolkit import edge_rings
 
 from conftest import (
@@ -41,10 +40,12 @@ from conftest import (
     random_connected_graph,
 )
 from oracles import (
+    bfs_tree,
     combinatorial_laplacian,
     path_product,
     random_orthogonal,
     sequential_tree_products,
+    sigma_between,
 )
 
 
@@ -283,7 +284,7 @@ def test_path_product_requires_edges():
 
 
 def test_tree_products_expand_parallel_transport(sign_path):
-    t = tree_products(sign_path, root=0)
+    t = feasibility_switching(sign_path, root=0)
     # t[i] = sigma along path i -> 0;  t[2] = sigma_21 sigma_10 = (-1)(1) = -1
     assert t[0] == pytest.approx(1.0)
     assert t[1] == pytest.approx(1.0)
@@ -298,20 +299,18 @@ def test_tree_products_match_sequential_chain(seed):
     g = random_connected_graph(rng, n=int(rng.integers(4, 30)), d=d,
                                extra_edges=int(rng.integers(1, 12)), consistent=consistent)
     root = int(rng.integers(g.n))
-    assert np.array_equal(tree_products(g, root), sequential_tree_products(g, root))
+    assert np.array_equal(feasibility_switching(g, root), sequential_tree_products(g, root))
 
 
 def test_tree_products_match_sequential_chain_on_sphere_patches():
     for g in (flat_sphere_patch(np.random.default_rng(3))[0], curved_sphere_patch()):
         for root in (0, g.n // 2, g.n - 1):
-            assert np.array_equal(tree_products(g, root), sequential_tree_products(g, root))
+            assert np.array_equal(feasibility_switching(g, root), sequential_tree_products(g, root))
 
 
 @pytest.mark.parametrize("root", [-1, 3])
 def test_tree_roots_outside_the_graph_are_refused(sign_path, root):
-    from conbeck.feasibility import feasibility_switching
-
-    for call in (bfs_tree, tree_products, feasibility_switching):
+    for call in (bfs_tree, feasibility_switching):
         with pytest.raises(InvalidGraphError, match=f"root {root} "):
             call(sign_path, root)
 
@@ -544,21 +543,21 @@ def test_traversals_on_a_path_five_thousand_levels_deep():
     assert hops.tolist() == list(range(n))
     assert parent.tolist() == list(range(-1, n - 1))
     assert edge_rings(g, [0]).edge_ring.tolist() == list(range(n - 1))
-    assert np.array_equal(tree_products(g, 0), sequential_tree_products(g, 0))
+    assert np.array_equal(feasibility_switching(g, 0), sequential_tree_products(g, 0))
 
 def test_sigma_between_orientation(sign_path):
-    assert sign_path.sigma_between(1, 2) == np.array([[-1.0]])
-    assert sign_path.sigma_between(2, 1) == np.array([[-1.0]])  # transpose of 1x1
+    assert sigma_between(sign_path, 1, 2) == np.array([[-1.0]])
+    assert sigma_between(sign_path, 2, 1) == np.array([[-1.0]])  # transpose of 1x1
     with pytest.raises(InvalidGraphError):
-        sign_path.sigma_between(0, 2)
+        sigma_between(sign_path, 0, 2)
 
 
 def test_sigma_between_repeated_pair_takes_last_stored_orientation_first():
     # unvalidated: the pair (0, 1) twice, then reversed as (1, 0)
     sigmas = [[[1.0]], [[2.0]], [[3.0]]]
     g = ConnectionGraph(2, 1, [(0, 1), (0, 1), (1, 0)], [1.0, 1.0, 1.0], sigmas)
-    assert g.sigma_between(0, 1) == np.array([[2.0]])
-    assert g.sigma_between(1, 0) == np.array([[3.0]])
+    assert sigma_between(g, 0, 1) == np.array([[2.0]])
+    assert sigma_between(g, 1, 0) == np.array([[3.0]])
     rot = ConnectionGraph(2, 2, [(0, 1), (0, 1)], [1.0, 1.0],
                           [np.eye(2), [[0.0, -1.0], [1.0, 0.0]]])
-    assert np.array_equal(rot.sigma_between(1, 0), [[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(sigma_between(rot, 1, 0), [[0.0, 1.0], [-1.0, 0.0]])

@@ -17,7 +17,7 @@ import pytest
 
 from conbeck.errors import InvalidGraphError
 from conbeck.feasibility import KernelBasis, is_feasible, project_feasible
-from conbeck.graph import apply_B, apply_BT
+from conbeck.graph import ConnectionGraph, apply_B, apply_BT, switch
 from conbeck.solver import (
     SolveOptions,
     dual_gradient,
@@ -218,3 +218,40 @@ def test_kernel_inner_products_take_the_basis_shape_or_its_flat_form():
         expected = f"field has shape {bad.shape}; expected (4, 3)"
         with pytest.raises(InvalidGraphError, match=f"^{re.escape(expected)}$"):
             basis.inner_products(bad)
+
+
+#: Each mis-sized graph input: how to build it from the problem, and the error.
+MISSIZED_GRAPHS = {
+    "sigmas of another d": (
+        lambda p: ConnectionGraph(3, 2, [[0, 1]], [1.0], np.eye(3)),
+        "sigmas has shape (3, 3); expected (m, 2, 2)",
+    ),
+    "odd-length edge_index": (
+        lambda p: ConnectionGraph(3, 1, [0, 1, 2], [1.0], np.ones((1, 1, 1))),
+        "edge_index has shape (3,); expected (m, 2)",
+    ),
+    "d = 0": (
+        lambda p: ConnectionGraph(3, 0, [[0, 1]], [1.0], np.zeros((1, 0, 0))),
+        "need n >= 1 and d >= 1",
+    ),
+    "n = 0": (
+        lambda p: ConnectionGraph(0, 1, np.zeros((0, 2)), [], np.zeros((0, 1, 1))),
+        "need n >= 1 and d >= 1",
+    ),
+    "tau one vertex short": (
+        lambda p: switch(p["g"], np.tile(np.eye(3), (6, 1, 1))),
+        "tau has shape (6, 3, 3); expected (7, 3, 3)",
+    ),
+    "tau of another d": (
+        lambda p: switch(p["g"], np.tile(np.eye(2), (7, 1, 1))),
+        "tau has shape (7, 2, 2); expected (7, 3, 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSIZED_GRAPHS))
+def test_missized_graph_input_is_refused_before_any_reshape(problem, case):
+    # NumPy's reshape raised its own ValueError for each of these
+    build, expected = MISSIZED_GRAPHS[case]
+    with pytest.raises(InvalidGraphError, match=f"^{re.escape(expected)}$"):
+        build(problem)
