@@ -3,8 +3,7 @@
 
 Run from the root of a source checkout::
 
-    python3 tools/src_lines.py            # counts of src/conbeck/*.py
-    python3 tools/src_lines.py a.py b.py  # counts of the named files
+    python3 tools/src_lines.py
 
 A code line holds at least one token that is not a comment; blank lines,
 comment lines and the lines of module, class and function docstrings are
@@ -58,10 +57,10 @@ def counts(path):
     return len(code), len(text.splitlines())
 
 
-def main(argv):
-    paths = argv or sorted(str(p) for p in Path("src/conbeck").glob("*.py"))
+def main():
+    paths = sorted(Path("src/conbeck").glob("*.py"))
     if not paths:
-        print("no files: run from the root of a checkout or name the files", file=sys.stderr)
+        print("no files: run from the root of a checkout", file=sys.stderr)
         return 2
     total = [0, 0]
     for path in paths:
@@ -74,4 +73,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
