@@ -11,7 +11,13 @@ The two central operators are the connection incidence matrix ``B``
 (an nd x md block matrix with ``+I_d`` at the tail block and
 ``-sigma^T`` at the head block of each edge column) and the connection
 Laplacian ``L = B W B^T`` whose off-diagonal blocks are
-``-w_ij sigma_ij``.
+``-w_ij sigma_ij``.  ``L`` and ``B^T`` are written straight into the
+arrays of a canonical CSR matrix (each row's columns sorted, none
+repeated): no COO triplets, no summing and no sort of entries; ``L``
+sorts only the edge ends, to order each vertex's neighbours.  ``B`` is
+the transpose of ``B^T``.  Both keep the zeros of their blocks as stored
+entries and take SciPy's index dtype, int32 until the entry count or a
+dimension reaches 2**31.
 """
 
 from __future__ import annotations
@@ -69,28 +75,16 @@ def _snap(mats, lo=EXACT_ORTHOGONALITY_TOL):
     return defect, snapped
 
 
-def _block_entries(block_rows, block_cols, blocks, d):
-    """COO triplets placing ``blocks[k]`` (d x d) at block ``(block_rows[k], block_cols[k])``."""
-    rr = np.repeat(np.arange(d), d)
-    cc = np.tile(np.arange(d), d)
-    rows = (block_rows[:, None] * d + rr).ravel()
-    cols = (block_cols[:, None] * d + cc).ravel()
-    return rows, cols, blocks.reshape(-1)
+def _index_dtype(nnz, shape):
+    """Index dtype SciPy gives a sparse matrix with ``nnz`` entries and this
+    shape: int32 while the entry count and both dimensions fit it, else int64."""
+    return np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64
 
 
-def _diagonal_entries(block_rows, block_cols, values, d):
-    """COO triplets placing ``values[k] * I_d`` at block ``(block_rows[k], block_cols[k])``."""
-    ar = np.arange(d)
-    rows = (block_rows[:, None] * d + ar).ravel()
-    cols = (block_cols[:, None] * d + ar).ravel()
-    return rows, cols, np.repeat(values, d)
-
-
-def _csr(parts, shape):
+def _csr_matrix(data, indices, indptr, shape):
     import scipy.sparse as sp  # only the operators need it; keeps CLI start-up light
 
-    rows, cols, data = (np.concatenate(arrays) for arrays in zip(*parts))
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _neighbours(n, edge_index):
@@ -166,11 +160,16 @@ def _index_oriented(edge_index, sigmas):
 
 def _stacked(array, dtype, name, block, rows=None):
     """``array`` as a stack of ``block``-shaped entries, shape (rows, *block),
-    or (-1, *block) when ``rows`` is None.  An array whose size does not fit
-    raises :class:`InvalidGraphError` naming ``name`` and its shape."""
+    or (-1, *block) when ``rows`` is None.  An array whose size does not fit,
+    or one with a stack's number of axes but other entry axes, such as a
+    transposed (2, m) ``edge_index``, raises :class:`InvalidGraphError`
+    naming ``name`` and its shape.  Flat arrays are taken in row order, and
+    a transposed stack as square as its entries, such as a (2, 2)
+    ``edge_index``, cannot be told apart from an untransposed one."""
     values = np.asarray(array, dtype=dtype)
     size = int(np.prod(block))
-    if values.size % size if rows is None else values.size != rows * size:
+    transposed = values.ndim == 1 + len(block) and values.shape[1:] != tuple(block)
+    if transposed or (values.size % size if rows is None else values.size != rows * size):
         expected = ", ".join(map(str, ("m" if rows is None else rows, *block)))
         raise InvalidGraphError(f"{name} has shape {values.shape}; expected ({expected})")
     return values.reshape(-1, *block)
@@ -333,37 +332,79 @@ class ConnectionGraph:
 
     @cached_property
     def incidence_matrix(self):
-        """Connection incidence matrix ``B`` as CSR, shape (nd, md)."""
-        self.require_valid()
-        n, d, m = self.n, self.d, self.m
-        i, j = self.edge_index.T
-        edges = np.arange(m)
-        tails = _diagonal_entries(i, edges, np.ones(m), d)
-        heads = _block_entries(j, edges, -np.transpose(self.sigmas, (0, 2, 1)), d)
-        return _csr([tails, heads], (n * d, m * d))
+        """Connection incidence matrix ``B`` as CSR, shape (nd, md): the
+        transpose of :attr:`incidence_matrix_T`."""
+        return self.incidence_matrix_T.T.tocsr()
 
     @cached_property
     def incidence_matrix_T(self):
-        return self.incidence_matrix.T.tocsr()
+        """``B^T`` as CSR, shape (md, nd), written straight into its arrays.
+
+        Row ``(e, s)`` of edge ``e = (i, j)`` holds ``1`` at column
+        ``(i, s)``, then ``-sigma_e[s, :]`` at the block of ``j``: d + 1
+        entries, already in column order because ``i < j``.
+        """
+        self.require_valid()
+        n, d, m = self.n, self.d, self.m
+        i, j = self.edge_index.T
+        nnz = m * d * (d + 1)
+        idx = _index_dtype(nnz, (m * d, n * d))
+        cols = np.arange(d)
+        data = np.empty((m, d, d + 1))
+        data[:, :, 0] = 1.0
+        np.negative(self.sigmas, out=data[:, :, 1:])
+        indices = np.empty((m, d, d + 1), dtype=idx)
+        indices[:, :, 0] = (d * i)[:, None] + cols
+        indices[:, :, 1:] = (d * j)[:, None, None] + cols
+        indptr = np.arange(0, nnz + 1, d + 1, dtype=idx)
+        return _csr_matrix(data.reshape(-1), indices.reshape(-1), indptr, (m * d, n * d))
 
     @cached_property
     def laplacian_matrix(self):
-        """Connection Laplacian ``L`` as CSR, shape (nd, nd), assembled blockwise.
+        """Connection Laplacian ``L`` as CSR, shape (nd, nd), written straight
+        into its arrays.
 
         Off-diagonal blocks are ``-w_ij sigma_ij`` and its transpose; the
-        diagonal blocks are exactly ``deg_i I_d``.
+        diagonal blocks are exactly ``deg_i I_d``.  Row ``(v, r)`` holds, in
+        column order, the d entries of each neighbour's block and the one
+        diagonal entry; zeros of the blocks are stored too.
         """
         self.require_valid()
-        n, d = self.n, self.d
+        n, d, m = self.n, self.d, self.m
         i, j = self.edge_index.T
-        blocks = -(self.weights[:, None, None] * self.sigmas)
-        vertices = np.arange(n)
-        parts = [
-            _block_entries(i, j, blocks, d),
-            _block_entries(j, i, np.transpose(blocks, (0, 2, 1)), d),
-            _diagonal_entries(vertices, vertices, self.weighted_degrees, d),
-        ]
-        return _csr(parts, (n * d, n * d))
+        below = np.bincount(j, minlength=n)  # neighbours of each vertex under it
+        degree = below + np.bincount(i, minlength=n)
+        nnz = n * d + 2 * m * d * d
+        idx = _index_dtype(nnz, (n * d, n * d))
+        indptr = np.zeros(n * d + 1, dtype=idx)
+        np.cumsum(np.repeat(d * degree + 1, d), out=indptr[1:])
+        starts = indptr[:-1].reshape(n, d)
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=idx)
+        diagonal = starts + (d * below)[:, None]
+        data[diagonal] = self.weighted_degrees[:, None]
+        indices[diagonal] = np.arange(n * d).reshape(n, d)
+        # each end's rank among its vertex's neighbours, in increasing order;
+        # the keys are distinct because a valid graph has no repeated edge
+        ends, others = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.argsort(ends * n + others)
+        rank = np.empty(2 * m, dtype=int)
+        rank[order] = np.arange(2 * m) - (np.cumsum(degree) - degree)[ends[order]]
+        # the blocks of the neighbours over a vertex follow its diagonal entry
+        offset = (d * rank + (others > ends)).astype(idx).reshape(2, m)
+        weights = -self.weights
+        for side, sigmas in enumerate((self.sigmas, np.swapaxes(self.sigmas, 1, 2))):
+            vertex, other = self.edge_index[:, side], self.edge_index[:, 1 - side]
+            # where each block's row r starts, as (d, m): one pass per entry
+            # (r, c) of the blocks runs over all m edges at once
+            first = starts.T[:, vertex] + offset[side]
+            column = d * other
+            for r in range(d):
+                for c in range(d):
+                    at = first[r] + c
+                    data[at] = weights * sigmas[:, r, c]
+                    indices[at] = column + c
+        return _csr_matrix(data, indices, indptr, (n * d, n * d))
 
     @cached_property
     def _tree(self):

@@ -1,6 +1,7 @@
 """Test oracles: a random orthogonal matrix, the BFS tree's visit order
 and parents, the connection matrix between two vertices, the tree products
-as a vertex-by-vertex chain, the dense ordinary Laplacian of the skeleton,
+as a vertex-by-vertex chain, L, B and B^T assembled from COO triplets,
+the dense ordinary Laplacian of the skeleton,
 path products as a loop over :func:`sigma_between`, tangent frames one
 vertex at a time, epsilon pairs and nearest nodes by brute force, the document dicts
 whose ``json.dump(..., indent=2)`` text the :mod:`conbeck.io` table writers
@@ -57,6 +58,62 @@ def sequential_tree_products(g: ConnectionGraph, root):
     for u in order[1:]:
         t[u] = sigma_between(g, u, parent[u]) @ t[parent[u]]
     return t
+
+
+def _block_entries(block_rows, block_cols, blocks, d):
+    """COO triplets placing ``blocks[k]`` (d x d) at block ``(block_rows[k], block_cols[k])``."""
+    rr = np.repeat(np.arange(d), d)
+    cc = np.tile(np.arange(d), d)
+    rows = (block_rows[:, None] * d + rr).ravel()
+    cols = (block_cols[:, None] * d + cc).ravel()
+    return rows, cols, blocks.reshape(-1)
+
+
+def _diagonal_entries(block_rows, block_cols, values, d):
+    """COO triplets placing ``values[k] * I_d`` at block ``(block_rows[k], block_cols[k])``."""
+    ar = np.arange(d)
+    rows = (block_rows[:, None] * d + ar).ravel()
+    cols = (block_cols[:, None] * d + ar).ravel()
+    return rows, cols, np.repeat(values, d)
+
+
+def _csr(parts, shape):
+    import scipy.sparse as sp  # only the operators need it; keeps CLI start-up light
+
+    rows, cols, data = (np.concatenate(arrays) for arrays in zip(*parts))
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+
+
+
+
+def coo_operators(g: ConnectionGraph):
+    """``(L, B, B^T)`` of ``g`` as CSR, assembled from COO triplets and
+    converted by SciPy, which sorts the entries and sums repeats: the
+    reference for the CSR arrays :class:`ConnectionGraph` writes directly."""
+    g.require_valid()
+    n, d, m = g.n, g.d, g.m
+    i, j = g.edge_index.T
+    edges = np.arange(m)
+    tails = _diagonal_entries(i, edges, np.ones(m), d)
+    heads = _block_entries(j, edges, -np.transpose(g.sigmas, (0, 2, 1)), d)
+    incidence = _csr([tails, heads], (n * d, m * d))
+    blocks = -(g.weights[:, None, None] * g.sigmas)
+    vertices = np.arange(n)
+    parts = [
+        _block_entries(i, j, blocks, d),
+        _block_entries(j, i, np.transpose(blocks, (0, 2, 1)), d),
+        _diagonal_entries(vertices, vertices, g.weighted_degrees, d),
+    ]
+    return _csr(parts, (n * d, n * d)), incidence, incidence.T.tocsr()
+
+
+def csr_bits(mat):
+    """A CSR matrix's shape, index dtypes and the bytes of its three arrays:
+    equal tuples mean the same matrix bit for bit, signed zeros included."""
+    return (
+        mat.shape, mat.indptr.dtype, mat.indices.dtype,
+        mat.indptr.tobytes(), mat.indices.tobytes(), mat.data.tobytes(),
+    )
 
 
 def combinatorial_laplacian(g: ConnectionGraph):

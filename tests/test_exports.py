@@ -78,7 +78,10 @@ def test_package_keeps_every_name():
 #: Test oracles that live in ``tests/oracles.py``, by the module that once
 #: shipped them.
 ORACLES = {
-    "graph": ["bfs_tree", "combinatorial_laplacian", "path_product"],
+    "graph": [
+        "bfs_tree", "combinatorial_laplacian", "path_product",
+        "_csr", "_block_entries", "_diagonal_entries",
+    ],
     "io": ["field_to_dict", "flow_to_dict", "frames_to_dict", "tau_to_dict", "trajectory_to_dict"],
 }
 

@@ -8,10 +8,11 @@ definitions (incidence blocks +I / -sigma^T, Laplacian blocks deg*I and
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conbeck import graph
@@ -20,6 +21,7 @@ from conbeck.graph import (
     ConnectionGraph,
     _bfs,
     _component_of_zero,
+    _index_dtype,
     apply_B,
     apply_BT,
     connection_laplacian,
@@ -38,10 +40,13 @@ from conftest import (
     make_path_graph,
     queue_bfs,
     random_connected_graph,
+    twisted_ring,
 )
 from oracles import (
     bfs_tree,
     combinatorial_laplacian,
+    coo_operators,
+    csr_bits,
     path_product,
     random_orthogonal,
     sequential_tree_products,
@@ -210,6 +215,82 @@ def test_laplacian_psd_and_symmetric():
         assert np.abs(lap - lap.T).max() <= 1e-12
         eigs = np.linalg.eigvalsh(lap)
         assert eigs.min() >= -1e-9 * max(eigs.max(), 1.0)
+
+
+@st.composite
+def operator_graphs(draw):
+    """A valid graph on 1 to 10 vertices with d from 1 to 3: a random
+    spanning tree plus chords, its edges in random order and orientation,
+    and every sigma the identity, a signed permutation or a Haar rotation."""
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["identity", "signed permutation", "rotation"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    chords = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    edges = []
+    for i, j in draw(st.permutations(list(dict.fromkeys(tree + chords)))):
+        if kind == "identity":
+            sigma = np.eye(d)
+        elif kind == "signed permutation":
+            sigma = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+        else:
+            sigma = random_orthogonal(d, rng)
+            sigma[:, 0] *= np.linalg.det(sigma)
+        edges.append((j, i, rng.uniform(0.5, 2.0), sigma.T) if draw(st.booleans())
+                     else (i, j, rng.uniform(0.5, 2.0), sigma))
+    return ConnectionGraph.from_edges(n, d, edges)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(operator_graphs())
+@example(ConnectionGraph(1, 2, np.zeros((0, 2)), [], np.zeros((0, 2, 2))))
+# a weight of 1e7 beside the next float up: both enter vertex 1's degree
+@example(ConnectionGraph.trivial(3, 2, [(1, 2, 1e7), (0, 1, np.nextafter(1e7, np.inf))]))
+def test_operators_are_the_coo_reference_bit_for_bit(g):
+    lap, b, bt = coo_operators(g)
+    assert csr_bits(g.laplacian_matrix) == csr_bits(lap)
+    assert csr_bits(g.incidence_matrix) == csr_bits(b)
+    assert csr_bits(g.incidence_matrix_T) == csr_bits(bt)
+
+
+@pytest.mark.parametrize("make", [curved_sphere_patch, twisted_ring])
+def test_near_kernel_modes_are_those_of_the_reference_laplacian(make):
+    g, reference = make(), make()
+    reference.__dict__["laplacian_matrix"] = coo_operators(reference)[0]
+    for mine, theirs in zip(g.near_kernel_modes, reference.near_kernel_modes):
+        assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes()
+
+
+def test_assembly_memory_stays_proportional_to_its_output():
+    # through COO triplets, L peaked at 5.7 times its CSR bytes and B^T,
+    # built by transposing B, at 5.2 times
+    import scipy.sparse  # noqa: F401  (its import is not the assembly's)
+
+    g = curved_sphere_patch(20, 40, 0.2).require_valid()
+    for name, bound in (("laplacian_matrix", 3.0), ("incidence_matrix_T", 1.5)):
+        tracemalloc.start()
+        try:
+            mat = getattr(g, name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        assert peak <= bound * stored, (name, peak / stored)
+
+
+@pytest.mark.parametrize(
+    "nnz, shape, dtype",
+    [
+        (2**31 - 1, (10, 10), np.int32),
+        (2**31, (10, 10), np.int64),
+        (10, (2**31, 10), np.int64),
+        (10, (10, 2**31), np.int64),
+    ],
+)
+def test_index_dtype_widens_when_a_count_reaches_two_to_the_31(nnz, shape, dtype):
+    assert _index_dtype(nnz, shape) is dtype
 
 
 # ----------------------------------------------------------- operator applies

@@ -226,6 +226,18 @@ MISSIZED_GRAPHS = {
         lambda p: ConnectionGraph(3, 2, [[0, 1]], [1.0], np.eye(3)),
         "sigmas has shape (3, 3); expected (m, 2, 2)",
     ),
+    "transposed edge_index": (
+        lambda p: ConnectionGraph(
+            4, 1, np.array([[0, 1], [1, 2], [2, 3]]).T, [1, 1, 1], np.ones((3, 1, 1))
+        ),
+        "edge_index has shape (2, 3); expected (m, 2)",
+    ),
+    "sigmas stacked on the last axis": (
+        lambda p: ConnectionGraph(
+            4, 2, [[0, 1], [1, 2], [2, 3]], [1, 1, 1], np.stack([np.eye(2)] * 3, axis=-1)
+        ),
+        "sigmas has shape (2, 2, 3); expected (m, 2, 2)",
+    ),
     "odd-length edge_index": (
         lambda p: ConnectionGraph(3, 1, [0, 1, 2], [1.0], np.ones((1, 1, 1))),
         "edge_index has shape (3,); expected (m, 2)",
