@@ -84,8 +84,6 @@ def _csr(parts, shape):
     return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
-
-
 def coo_operators(g: ConnectionGraph):
     """``(L, B, B^T)`` of ``g`` as CSR, assembled from COO triplets and
     converted by SciPy, which sorts the entries and sums repeats: the
